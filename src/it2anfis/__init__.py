@@ -5,9 +5,9 @@ plumbing, the initializer, the trainer, type-1 baselines, uncertainty
 explanation, metrics, persistence, and the benchmark sweep.
 """
 
-from .core import (FiringStrengths, IntervalPrediction, IT2Antecedent,
-                   Consequent, Mode, RuleBase, fire, membership_bounds,
-                   predict_arrays, predict_batch, predict_one)
+from .core import (IntervalPrediction, IT2Antecedent, Mode, RuleBase,
+                   forward, membership_bounds, predict_arrays, predict_batch,
+                   predict_one)
 from .dataset import (Dataset, FeatureScaler, RawTable, SyntheticSpec,
                       TargetScaler, generate_synthetic, inverse_target,
                       load_csv, normalize_and_split)
@@ -29,15 +29,15 @@ from .trainer import (TrainConfig, TrainState, TrainingDiverged,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Consequent", "Dataset", "FeatureScaler", "FeatureUncertainty",
-    "FiringStrengths", "InitConfig", "IntervalPrediction", "IT2Antecedent",
-    "MetricSet", "Mode", "ModelFormatError", "RawTable", "RuleBase",
-    "RuleUncertainty", "SweepConfig", "SyntheticSpec", "TargetScaler",
+    "Dataset", "FeatureScaler", "FeatureUncertainty", "InitConfig",
+    "IntervalPrediction", "IT2Antecedent", "MetricSet", "Mode",
+    "ModelFormatError", "RawTable", "RuleBase", "RuleUncertainty",
+    "SweepConfig", "SyntheticSpec", "TargetScaler",
     "TrainConfig", "TrainState", "TrainingDiverged", "UncertaintyReport",
     "active_backend", "adapt_learning_rates", "antecedent_gradients",
     "apply_antecedent_update", "apply_consequent_update", "build_rulebase",
     "consequent_gradients", "enforce_constraints", "evaluate",
-    "explain_instance", "explain_model", "export_rules_text", "fire",
+    "explain_instance", "explain_model", "export_rules_text", "forward",
     "fou_area", "generate_synthetic", "inverse_target", "lhs_centers",
     "load_csv", "load_model", "make_type1", "mean_metrics",
     "membership_bounds", "normalize_and_split", "partition_width",

@@ -8,8 +8,11 @@ affine in the input; the lower and upper firing strengths each produce a
 crisp output, and a fixed blend factor q mixes the two.
 
 Data is stored as dense per-rule arrays (struct-of-arrays) so batch
-inference can run through the compiled kernels; per-rule object views
-are available for inspection.
+inference can run through the compiled kernels.  The inference chain
+(fire, normalize with the uniform fallback, affine consequents, q blend)
+is written once: ``forward`` fires the rules and hands the strengths to
+``kernels.type_reduce``, and prediction, both gradients, the q update
+and the explainer all read its result.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import STRENGTH_FLOOR, fire as _fire_batch
+from .kernels import Reduced, fire as _fire_batch, type_reduce
 
 SIGMA_MIN = 0.05
 MIN_SEPARATION = 0.05
@@ -68,34 +71,6 @@ class IT2Antecedent:
             raise ValueError(f"c1 ={self.c1} exceeds c2 ={self.c2}")
         if not (math.isfinite(self.sigma) and self.sigma >= SIGMA_MIN):
             raise ValueError(f"sigma must be >= {SIGMA_MIN}, got {self.sigma}")
-
-
-@dataclass
-class Consequent:
-    """Affine rule output y = w . x + b."""
-
-    w: np.ndarray
-    b: float
-
-    def validate(self) -> None:
-        if not (np.all(np.isfinite(self.w)) and math.isfinite(self.b)):
-            raise ValueError("consequent parameters must be finite")
-
-
-@dataclass
-class FiringStrengths:
-    """Raw and normalized rule activations for one input.
-
-    mu_L / mu_U are the per-rule products of lower / upper memberships;
-    fbar_L / fbar_U are those vectors normalized to sum to one.  When a
-    raw sum falls below the activation floor the normalized vector is
-    the uniform 1/R fallback instead.
-    """
-
-    mu_L: np.ndarray
-    mu_U: np.ndarray
-    fbar_L: np.ndarray
-    fbar_U: np.ndarray
 
 
 @dataclass
@@ -186,42 +161,6 @@ class RuleBase:
         return IT2Antecedent(float(self.c1[j, f]), float(self.c2[j, f]),
                              float(self.sigma[j, f]))
 
-    def consequent(self, j: int) -> Consequent:
-        """Object view of one rule's consequent (copies the parameters)."""
-        return Consequent(self.w[j].copy(), float(self.b[j]))
-
-    def rule(self, j: int) -> tuple[list[IT2Antecedent], Consequent]:
-        return ([self.antecedent(j, f) for f in range(self.n_features)],
-                self.consequent(j))
-
-    @property
-    def rules(self) -> list[tuple[list[IT2Antecedent], Consequent]]:
-        return [self.rule(j) for j in range(self.n_rules)]
-
-    @classmethod
-    def from_rules(cls, rules, q: float = 0.5,
-                   mode: Mode = Mode.IT2) -> "RuleBase":
-        """Build the dense store from (antecedents, consequent) pairs."""
-        if not rules:
-            raise ValueError("need at least one rule")
-        R = len(rules)
-        F = len(rules[0][0])
-        c1 = np.empty((R, F))
-        c2 = np.empty((R, F))
-        sigma = np.empty((R, F))
-        w = np.empty((R, F))
-        b = np.empty(R)
-        for j, (ants, cons) in enumerate(rules):
-            if len(ants) != F:
-                raise ValueError("every rule must have the same arity")
-            for f, ant in enumerate(ants):
-                c1[j, f] = ant.c1
-                c2[j, f] = ant.c2
-                sigma[j, f] = ant.sigma
-            w[j] = np.asarray(cons.w, dtype=np.float64)
-            b[j] = cons.b
-        return cls(c1, c2, sigma, w, b, q=q, mode=mode)
-
     def copy(self) -> "RuleBase":
         return RuleBase(self.c1.copy(), self.c2.copy(), self.sigma.copy(),
                         self.w.copy(), self.b.copy(), q=self.q, mode=self.mode)
@@ -238,7 +177,10 @@ def membership_bounds(ant: IT2Antecedent, x: float) -> tuple[float, float]:
     Returns
     -------
     (mu_L, mu_U) : tuple of float
-        0 < mu_L <= mu_U <= 1.
+        0 <= mu_L <= mu_U <= 1.  mu_L is positive in exact arithmetic
+        but is 0.0 once exp underflows (0.5 z**2 beyond about 745 for
+        the farther mean); ``kernels.STRENGTH_FLOOR`` handles such rules
+        downstream.
     """
     c_mid = 0.5 * (ant.c1 + ant.c2)
     if x <= c_mid:
@@ -258,37 +200,19 @@ def membership_bounds(ant: IT2Antecedent, x: float) -> tuple[float, float]:
     return (mu_l, mu_u)
 
 
-def normalize_strengths(mu: np.ndarray,
-                        floor: float = STRENGTH_FLOOR) -> np.ndarray:
-    """Normalize raw strengths to sum to one, uniform below the floor."""
-    total = float(mu.sum())
-    if total < floor:
-        return np.full(mu.shape, 1.0 / mu.shape[0])
-    return mu / total
+def forward(rb: RuleBase, X: np.ndarray) -> Reduced:
+    """Run the inference chain on a batch of rows.
 
-
-def fire(rb: RuleBase, x: np.ndarray) -> FiringStrengths:
-    """Evaluate all rule activations for one input vector."""
-    X = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    if X.shape[1] != rb.n_features:
-        raise ValueError(f"input arity {X.shape[1]} != {rb.n_features}")
-    mu_l, mu_u = _fire_batch(X, rb.c1, rb.c2, rb.sigma)
-    mu_l = mu_l[0]
-    mu_u = mu_u[0]
-    return FiringStrengths(mu_L=mu_l, mu_U=mu_u,
-                           fbar_L=normalize_strengths(mu_l),
-                           fbar_U=normalize_strengths(mu_u))
-
-
-def blend_outputs(y_lower: np.ndarray, y_upper: np.ndarray,
-                  q: float) -> np.ndarray:
-    """q-weighted mix of the two type-reduced outputs.
-
-    Where the bounds coincide the shared value is returned as-is, so a
-    collapsed (type-1) system is bit-for-bit independent of q.
+    Fires every rule on the (N, F) inputs, evaluates the affine rule
+    outputs, and returns ``kernels.type_reduce`` of the two: normalized
+    strengths, the interval outputs and their blend.
     """
-    return np.where(y_lower == y_upper, y_lower,
-                    q * y_lower + (1.0 - q) * y_upper)
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != rb.n_features:
+        raise ValueError(f"input arity does not match: X must be "
+                         f"(N, {rb.n_features}), got shape {X.shape}")
+    mu_l, mu_u = _fire_batch(X, rb.c1, rb.c2, rb.sigma)
+    return type_reduce(mu_l, mu_u, X @ rb.w.T + rb.b, rb.q)
 
 
 def predict_arrays(rb: RuleBase,
@@ -298,28 +222,8 @@ def predict_arrays(rb: RuleBase,
     The workhorse behind predict_one/predict_batch, the trainer, and the
     evaluation paths; rows are processed independently.
     """
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != rb.n_features:
-        raise ValueError(f"X must be (N, {rb.n_features})")
-    N = X.shape[0]
-    R = rb.n_rules
-    if N == 0:
-        empty = np.empty(0)
-        return empty, empty.copy(), empty.copy()
-    mu_l, mu_u = _fire_batch(X, rb.c1, rb.c2, rb.sigma)
-    yr = X @ rb.w.T + rb.b
-
-    s_l = mu_l.sum(axis=1)
-    s_u = mu_u.sum(axis=1)
-    ok_l = s_l >= STRENGTH_FLOOR
-    ok_u = s_u >= STRENGTH_FLOOR
-    f_l = np.where(ok_l[:, None], mu_l / np.where(ok_l, s_l, 1.0)[:, None],
-                   1.0 / R)
-    f_u = np.where(ok_u[:, None], mu_u / np.where(ok_u, s_u, 1.0)[:, None],
-                   1.0 / R)
-    y_lower = (f_l * yr).sum(axis=1)
-    y_upper = (f_u * yr).sum(axis=1)
-    return y_lower, y_upper, blend_outputs(y_lower, y_upper, rb.q)
+    red = forward(rb, X)
+    return red.y_l, red.y_u, red.y_p
 
 
 def predict_one(rb: RuleBase, x: np.ndarray) -> IntervalPrediction:

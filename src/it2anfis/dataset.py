@@ -93,10 +93,6 @@ class Dataset:
     test_idx: np.ndarray
 
     @property
-    def split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (self.train_idx, self.val_idx, self.test_idx)
-
-    @property
     def feature_names(self) -> list[str]:
         return [s.name for s in self.feature_scalers]
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (IntervalPrediction, IT2Antecedent, RuleBase, fire,
-                   membership_bounds, predict_one)
+from .core import (IntervalPrediction, IT2Antecedent, RuleBase, forward,
+                   membership_bounds)
 from .dataset import FeatureScaler, TargetScaler
 
 DEFAULT_FOU_POINTS = 256
@@ -116,16 +116,14 @@ def explain_instance(rb: RuleBase, x: np.ndarray,
     top_rules lists (rule_index, fbar_U, fbar_L) sorted by the mean of
     the two normalized strengths, strongest first.
     """
-    pred = predict_one(rb, x)
+    red = forward(rb, np.asarray(x, dtype=np.float64).reshape(1, -1))
     pred_units = IntervalPrediction(
-        y_lower=float(target_scaler.inverse(pred.y_lower)),
-        y_upper=float(target_scaler.inverse(pred.y_upper)),
-        y_pred=float(target_scaler.inverse(pred.y_pred)))
-    strengths = fire(rb, x)
-    score = 0.5 * (strengths.fbar_L + strengths.fbar_U)
-    order = np.argsort(-score, kind="stable")
-    top_rules = [(int(j), float(strengths.fbar_U[j]),
-                  float(strengths.fbar_L[j])) for j in order]
+        y_lower=float(target_scaler.inverse(red.y_l[0])),
+        y_upper=float(target_scaler.inverse(red.y_u[0])),
+        y_pred=float(target_scaler.inverse(red.y_p[0])))
+    f_l, f_u = red.f_l[0], red.f_u[0]
+    order = np.argsort(-0.5 * (f_l + f_u), kind="stable")
+    top_rules = [(int(j), float(f_u[j]), float(f_l[j])) for j in order]
     return pred_units, top_rules
 
 

@@ -19,6 +19,7 @@ variable, read once at import time:
 from __future__ import annotations
 
 import os
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,6 +51,48 @@ def fire_numpy(X, c1, c2, sigma):
     return mu_lf.prod(axis=2), mu_uf.prod(axis=2)
 
 
+class Reduced(NamedTuple):
+    """One batch through normalization, type reduction and the q blend.
+
+    f_l, f_u are the (N, R) normalized strengths; y_l, y_u, y_p the (N,)
+    lower, upper and blended outputs; inv_l, inv_u the reciprocal raw
+    strength sums, 0 on rows that took the uniform fallback.
+    """
+
+    f_l: np.ndarray
+    f_u: np.ndarray
+    y_l: np.ndarray
+    y_u: np.ndarray
+    y_p: np.ndarray
+    inv_l: np.ndarray
+    inv_u: np.ndarray
+
+
+def type_reduce(mu_l, mu_u, yr, q, floor=STRENGTH_FLOOR):
+    """Normalize raw strengths, reduce each side, and blend with q.
+
+    mu_l, mu_u are (N, R) raw strengths and yr the (N, R) rule outputs.
+    A row whose raw sum falls below ``floor`` uses the uniform 1/R split
+    instead.  Where the two outputs coincide the shared value is the
+    blend, so a collapsed (type-1) system is bit-for-bit independent of q.
+    """
+    R = mu_l.shape[1]
+    s_l = mu_l.sum(axis=1)
+    s_u = mu_u.sum(axis=1)
+    ok_l = s_l >= floor
+    ok_u = s_u >= floor
+    safe_l = np.where(ok_l, s_l, 1.0)
+    safe_u = np.where(ok_u, s_u, 1.0)
+    f_l = np.where(ok_l[:, None], mu_l / safe_l[:, None], 1.0 / R)
+    f_u = np.where(ok_u[:, None], mu_u / safe_u[:, None], 1.0 / R)
+    y_l = (f_l * yr).sum(axis=1)
+    y_u = (f_u * yr).sum(axis=1)
+    y_p = np.where(y_l == y_u, y_l, q * y_l + (1.0 - q) * y_u)
+    return Reduced(f_l, f_u, y_l, y_u, y_p,
+                   np.where(ok_l, 1.0 / safe_l, 0.0),
+                   np.where(ok_u, 1.0 / safe_u, 0.0))
+
+
 def _loo_prod(a):
     """Leave-one-out product along the last axis, underflow-safe.
 
@@ -73,8 +116,7 @@ def ant_grads_numpy(X, y, c1, c2, sigma, w, b, q, floor=STRENGTH_FLOOR):
     piecewise seams the active branch's one-sided derivative is used.
     Returns (d_c1, d_c2), each (R, F).
     """
-    N, F = X.shape
-    R = c1.shape[0]
+    N = X.shape[0]
     Xe = X[:, None, :]
 
     inv_s2 = 1.0 / (sigma * sigma)
@@ -99,28 +141,14 @@ def ant_grads_numpy(X, y, c1, c2, sigma, w, b, q, floor=STRENGTH_FLOOR):
 
     loo_l = _loo_prod(mu_lf)
     loo_u = _loo_prod(mu_uf)
-    mu_l = mu_lf.prod(axis=2)
-    mu_u = mu_uf.prod(axis=2)
-    s_l = mu_l.sum(axis=1)
-    s_u = mu_u.sum(axis=1)
-
     yr = X @ w.T + b
-    ok_l = s_l >= floor
-    ok_u = s_u >= floor
-    safe_l = np.where(ok_l, s_l, 1.0)
-    safe_u = np.where(ok_u, s_u, 1.0)
-    f_l = np.where(ok_l[:, None], mu_l / safe_l[:, None], 1.0 / R)
-    f_u = np.where(ok_u[:, None], mu_u / safe_u[:, None], 1.0 / R)
-    y_l = (f_l * yr).sum(axis=1)
-    y_u = (f_u * yr).sum(axis=1)
-    y_p = np.where(y_l == y_u, y_l, q * y_l + (1.0 - q) * y_u)
-    e = y_p - y
+    red = type_reduce(mu_lf.prod(axis=2), mu_uf.prod(axis=2), yr, q, floor)
+    e = red.y_p - y
 
-    # uniform-fallback rows are locally constant in c, so they drop out
-    coef_l = np.where(ok_l, q * e / safe_l, 0.0)
-    coef_u = np.where(ok_u, (1.0 - q) * e / safe_u, 0.0)
-    w_l = coef_l[:, None] * (yr - y_l[:, None])
-    w_u = coef_u[:, None] * (yr - y_u[:, None])
+    # uniform-fallback rows are locally constant in c (inv is 0 there),
+    # so they drop out
+    w_l = (q * e * red.inv_l)[:, None] * (yr - red.y_l[:, None])
+    w_u = ((1.0 - q) * e * red.inv_u)[:, None] * (yr - red.y_u[:, None])
 
     d_c1 = (np.einsum("nj,njf->jf", w_l, loo_l * d_lf_c1)
             + np.einsum("nj,njf->jf", w_u, loo_u * d_uf_c1)) / N

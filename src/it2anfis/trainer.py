@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .core import Mode, RuleBase, predict_arrays
+from .core import Mode, RuleBase, forward, predict_arrays
 from .dataset import Dataset
 
 ETA_CONS_BOUNDS = (1e-5, 0.05)
@@ -97,50 +97,17 @@ class TrainState:
     history: list[EpochRecord] = field(default_factory=list)
 
 
-@dataclass
-class GradientSet:
-    """One step's gradients for every trainable block."""
-
-    d_w: np.ndarray
-    d_b: np.ndarray
-    d_c1: np.ndarray
-    d_c2: np.ndarray
-
-
-def _phi(rb: RuleBase, X: np.ndarray) -> np.ndarray:
-    """Blend factor of normalized strengths used by consequent gradients.
-
-    Each side is normalized again by its own sum before blending; the
-    inner sums are already 1, so this equals q*fbar_L + (1-q)*fbar_U,
-    but the computation keeps the written double-normalized form.
-    """
-    mu_l, mu_u = kernels.fire(X, rb.c1, rb.c2, rb.sigma)
-    R = rb.n_rules
-    s_l = mu_l.sum(axis=1)
-    s_u = mu_u.sum(axis=1)
-    ok_l = s_l >= kernels.STRENGTH_FLOOR
-    ok_u = s_u >= kernels.STRENGTH_FLOOR
-    f_l = np.where(ok_l[:, None], mu_l / np.where(ok_l, s_l, 1.0)[:, None],
-                   1.0 / R)
-    f_u = np.where(ok_u[:, None], mu_u / np.where(ok_u, s_u, 1.0)[:, None],
-                   1.0 / R)
-    f_l = f_l / f_l.sum(axis=1, keepdims=True)
-    f_u = f_u / f_u.sum(axis=1, keepdims=True)
-    return rb.q * f_l + (1.0 - rb.q) * f_u
-
-
 def consequent_gradients(rb: RuleBase, Xb: np.ndarray,
                          yb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batch gradients of the half mean-squared error w.r.t. w and b.
 
     d_b[j] = mean_n(e_n * phi_n_j) and d_w[j] = mean_n(e_n * phi_n_j * x_n),
-    with e the blended prediction error.
+    with e the blended prediction error and phi = q*fbar_L + (1-q)*fbar_U.
     """
-    _, _, y_pred = predict_arrays(rb, Xb)
-    e = y_pred - yb
-    phi = _phi(rb, Xb)
+    red = forward(rb, Xb)
+    phi = rb.q * red.f_l + (1.0 - rb.q) * red.f_u
     B = Xb.shape[0]
-    weights = e[:, None] * phi
+    weights = (red.y_p - yb)[:, None] * phi
     d_b = weights.mean(axis=0)
     d_w = weights.T @ Xb / B
     return d_w, d_b
@@ -253,8 +220,8 @@ def _mse(rb: RuleBase, X: np.ndarray, y: np.ndarray) -> float:
 
 
 def _q_gradient(rb: RuleBase, X: np.ndarray, y: np.ndarray) -> float:
-    y_l, y_u, y_p = predict_arrays(rb, X)
-    return float(np.mean((y_p - y) * (y_l - y_u)))
+    red = forward(rb, X)
+    return float(np.mean((red.y_p - y) * (red.y_l - red.y_u)))
 
 
 def train(rb: RuleBase, data: Dataset, cfg: TrainConfig,

@@ -82,7 +82,7 @@ class TestNormalizeAndSplit:
 
     def test_split_indices_disjoint_and_complete(self, small_dataset):
         ds = small_dataset
-        merged = np.concatenate(ds.split)
+        merged = np.concatenate([ds.train_idx, ds.val_idx, ds.test_idx])
         assert len(merged) == len(set(merged.tolist())) == ds.X.shape[0]
 
     def test_determinism(self):

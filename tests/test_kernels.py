@@ -111,7 +111,12 @@ class TestSelection:
                                               reason="numba missing")),
     ])
     def test_env_var_selects_backend(self, choice, expected):
-        env = dict(os.environ, IT2ANFIS_BACKEND=choice)
+        # the child imports the same package as this process, installed
+        # or not
+        src = os.path.dirname(os.path.dirname(kernels.__file__))
+        path = os.pathsep.join(filter(None, [src,
+                                             os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, IT2ANFIS_BACKEND=choice, PYTHONPATH=path)
         out = subprocess.run(
             [sys.executable, "-c",
              "from it2anfis.kernels import active_backend; "
