@@ -18,8 +18,9 @@ import numpy as np
 
 from . import kernels
 from .core import predict_arrays
-from .dataset import (Dataset, RawTable, SyntheticSpec, generate_synthetic,
-                      inverse_target, load_csv, normalize_and_split)
+from .dataset import (Dataset, FeatureScaler, RawTable, SyntheticSpec,
+                      _parse_cell, generate_synthetic, inverse_target,
+                      load_csv, normalize_and_split)
 from .explainer import (explain_instance, explain_model, export_rules_text,
                         render_rule_svg)
 from .initializer import InitConfig, build_rulebase, ranges_from_training
@@ -128,7 +129,12 @@ def cmd_train(args) -> int:
 
 def _read_feature_matrix(path: str | Path,
                          feature_names: list[str]) -> np.ndarray:
-    """Feature columns selected by name; zero data rows are allowed."""
+    """Feature columns selected by name; zero data rows are allowed.
+
+    Every selected cell must be a finite real.  A row too short to hold
+    a selected column, or a cell that does not parse, raises ValueError
+    naming the file, the line and the column.
+    """
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"no such data file: {path}")
@@ -147,19 +153,37 @@ def _read_feature_matrix(path: str | Path,
         for record in reader:
             if not record or all(not cell.strip() for cell in record):
                 continue
-            rows.append([float(record[i]) for i in positions])
+            row = []
+            for name, i in zip(feature_names, positions):
+                try:
+                    row.append(_parse_cell(record[i]))
+                except IndexError:
+                    raise ValueError(
+                        f"{path}: line {reader.line_num}, column {name!r}: "
+                        f"missing, the row has {len(record)} cells") from None
+                except ValueError as exc:
+                    raise ValueError(
+                        f"{path}: line {reader.line_num}, column {name!r}: "
+                        f"{exc}") from None
+            rows.append(row)
     if not rows:
         return np.empty((0, len(feature_names)))
     return np.asarray(rows, dtype=np.float64)
 
 
+def _scale_features(X_raw: np.ndarray,
+                    feature_scalers: list[FeatureScaler]) -> np.ndarray:
+    """Min-max scale every column of X_raw with its feature's scaler."""
+    lo = np.array([s.min for s in feature_scalers])
+    hi = np.array([s.max for s in feature_scalers])
+    return (X_raw - lo) / (hi - lo)
+
+
 def cmd_predict(args) -> int:
     rb, feature_scalers, target_scaler, _ = load_model(args.model)
     names = [s.name for s in feature_scalers]
-    X_raw = _read_feature_matrix(args.data, names)
-    X = np.empty_like(X_raw)
-    for k, scaler in enumerate(feature_scalers):
-        X[:, k] = scaler.transform(X_raw[:, k])
+    X = _scale_features(_read_feature_matrix(args.data, names),
+                        feature_scalers)
 
     y_l, y_u, y_p = predict_arrays(rb, X)
     y_l = inverse_target(y_l, target_scaler)
@@ -184,14 +208,10 @@ def cmd_explain(args) -> int:
     names = [s.name for s in feature_scalers]
     report = explain_model(rb)
     if args.data:
-        X_raw = _read_feature_matrix(args.data, names)
-        per_instance = []
-        for i in range(X_raw.shape[0]):
-            x = np.array([feature_scalers[k].transform(X_raw[i, k])
-                          for k in range(len(names))])
-            pred, _ = explain_instance(rb, x, target_scaler)
-            per_instance.append((i, pred))
-        report.per_instance = per_instance
+        X = _scale_features(_read_feature_matrix(args.data, names),
+                            feature_scalers)
+        report.per_instance = [(i, explain_instance(rb, x, target_scaler)[0])
+                               for i, x in enumerate(X)]
 
     out = Path(args.out or "report.json")
     out.write_text(json.dumps(report.as_dict(), indent=2) + "\n",
@@ -222,9 +242,7 @@ def cmd_evaluate(args) -> int:
         raise ValueError(f"{args.data}: missing model feature columns "
                          f"{missing}")
     cols = [raw.column_names.index(c) for c in names]
-    X = np.empty((raw.n_rows, len(names)))
-    for k, scaler in enumerate(feature_scalers):
-        X[:, k] = scaler.transform(raw.rows[:, cols[k]])
+    X = _scale_features(raw.rows[:, cols], feature_scalers)
     y_true = raw.rows[:, raw.column_names.index(target_scaler.name)]
 
     _, _, y_p = predict_arrays(rb, X)

@@ -8,7 +8,7 @@ affine in the input; the lower and upper firing strengths each produce a
 crisp output, and a fixed blend factor q mixes the two.
 
 Data is stored as dense per-rule arrays (struct-of-arrays) so batch
-inference can run through the compiled kernels.  The inference chain
+inference runs as whole-array numpy kernels.  The inference chain
 (fire, normalize with the uniform fallback, affine consequents, q blend)
 is written once: ``forward`` fires the rules and hands the strengths to
 ``kernels.type_reduce``, and prediction, both gradients, the q update

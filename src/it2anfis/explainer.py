@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (IntervalPrediction, IT2Antecedent, RuleBase, forward,
-                   membership_bounds)
+from .core import IntervalPrediction, IT2Antecedent, RuleBase, forward
 from .dataset import FeatureScaler, TargetScaler
+from .kernels import gaussian, membership_offsets
 
 DEFAULT_FOU_POINTS = 256
 
@@ -65,6 +65,26 @@ class UncertaintyReport:
         return doc
 
 
+def _bounds(x, c1, c2, sigma):
+    """(mu_L, mu_U) of x, elementwise and broadcasting."""
+    d_l, d_u = membership_offsets(x, c1, c2)
+    return gaussian(d_l, sigma), gaussian(d_u, sigma)
+
+
+def _fou_areas(c1, c2, sigma, lo, hi, n_points):
+    """Trapezoidal areas between the membership bounds over [lo, hi].
+
+    Elementwise over equally shaped antecedent parameters and window
+    ends; the n_points grid of each window runs along a new last axis.
+    """
+    xs = np.linspace(lo, hi, n_points, axis=-1)
+    mu_l, mu_u = _bounds(xs, *(np.expand_dims(a, -1) for a in (c1, c2, sigma)))
+    gap = mu_u - mu_l
+    step = (np.asarray(hi) - lo) / (n_points - 1)
+    return ((gap[..., 0] + gap[..., -1] + 2.0 * gap[..., 1:-1].sum(axis=-1))
+            * 0.5 * step)
+
+
 def fou_area(ant: IT2Antecedent, window: tuple[float, float] | None = None,
              n_points: int = DEFAULT_FOU_POINTS) -> float:
     """Trapezoidal area between the membership bounds.
@@ -80,31 +100,26 @@ def fou_area(ant: IT2Antecedent, window: tuple[float, float] | None = None,
     lo, hi = window
     if not lo < hi:
         raise ValueError(f"window must be increasing, got {window}")
-    xs = np.linspace(lo, hi, n_points)
-    gap = np.empty(n_points)
-    for i, x in enumerate(xs):
-        mu_l, mu_u = membership_bounds(ant, float(x))
-        gap[i] = mu_u - mu_l
-    step = (hi - lo) / (n_points - 1)
-    return float((gap[0] + gap[-1] + 2.0 * gap[1:-1].sum()) * 0.5 * step)
+    return float(_fou_areas(ant.c1, ant.c2, ant.sigma, lo, hi, n_points))
 
 
 def explain_model(rb: RuleBase) -> UncertaintyReport:
-    """Feature- and rule-level uncertainty for every antecedent."""
-    per_feature: list[FeatureUncertainty] = []
-    per_rule: list[RuleUncertainty] = []
-    for j in range(rb.n_rules):
-        areas = np.empty(rb.n_features)
-        for f in range(rb.n_features):
-            ant = rb.antecedent(j, f)
-            areas[f] = fou_area(ant)
-            per_feature.append(FeatureUncertainty(
-                rule_index=j, feature_index=f, fou_area=float(areas[f]),
-                interval_width=float(ant.c2 - ant.c1)))
-        l1 = float(np.abs(rb.w[j]).sum() + abs(rb.b[j]))
-        per_rule.append(RuleUncertainty(
-            rule_index=j, mean_fou_area=float(areas.mean()),
-            max_fou_area=float(areas.max()), consequent_l1_norm=l1))
+    """Feature- and rule-level uncertainty for every antecedent.
+
+    Each area is ``fou_area`` over its default window.
+    """
+    areas = _fou_areas(rb.c1, rb.c2, rb.sigma, rb.c1 - 3.0 * rb.sigma,
+                       rb.c2 + 3.0 * rb.sigma, DEFAULT_FOU_POINTS)
+    widths = rb.c2 - rb.c1
+    l1 = np.abs(rb.w).sum(axis=1) + np.abs(rb.b)
+    per_feature = [FeatureUncertainty(
+        rule_index=j, feature_index=f, fou_area=float(areas[j, f]),
+        interval_width=float(widths[j, f]))
+        for j in range(rb.n_rules) for f in range(rb.n_features)]
+    per_rule = [RuleUncertainty(
+        rule_index=j, mean_fou_area=float(areas[j].mean()),
+        max_fou_area=float(areas[j].max()), consequent_l1_norm=float(l1[j]))
+        for j in range(rb.n_rules)]
     return UncertaintyReport(per_feature=per_feature, per_rule=per_rule)
 
 
@@ -198,16 +213,17 @@ def render_rule_svg(rb: RuleBase, rule_index: int,
         f'font-family="sans-serif">Rule {rule_index + 1} membership '
         f'functions</text>',
     ]
+    c1, c2, sigma = rb.c1[rule_index], rb.c2[rule_index], rb.sigma[rule_index]
+    los = c1 - 3.0 * sigma
+    his = c2 + 3.0 * sigma
+    grid = np.linspace(los, his, n_points, axis=-1)
+    mu_l, mu_u = _bounds(grid, c1[:, None], c2[:, None], sigma[:, None])
     for f, name in enumerate(feature_names):
-        ant = rb.antecedent(rule_index, f)
-        lo = ant.c1 - 3.0 * ant.sigma
-        hi = ant.c2 + 3.0 * ant.sigma
-        xs = np.linspace(lo, hi, n_points)
-        mus = np.array([membership_bounds(ant, float(x)) for x in xs])
+        lo, hi, xs = los[f], his[f], grid[f]
         y0 = pad + f * (panel_h + pad)
-        upper = _svg_path(xs, mus[:, 1], pad, y0, panel_w, panel_h, lo, hi)
-        lower = _svg_path(xs, mus[:, 0], pad, y0, panel_w, panel_h, lo, hi)
-        reversed_lower = _svg_path(xs[::-1], mus[::-1, 0], pad, y0,
+        upper = _svg_path(xs, mu_u[f], pad, y0, panel_w, panel_h, lo, hi)
+        lower = _svg_path(xs, mu_l[f], pad, y0, panel_w, panel_h, lo, hi)
+        reversed_lower = _svg_path(xs[::-1], mu_l[f, ::-1], pad, y0,
                                    panel_w, panel_h, lo, hi)
         parts.extend([
             f'<rect x="{pad}" y="{y0:.1f}" width="{panel_w}" '
@@ -220,8 +236,8 @@ def render_rule_svg(rb: RuleBase, rule_index: int,
             f'stroke-width="1.5"/>',
             f'<text x="{pad}" y="{y0 + panel_h + pad * 0.55:.1f}" '
             f'font-size="11" font-family="sans-serif">{name} '
-            f'(c1 {_fmt(ant.c1)}, c2 {_fmt(ant.c2)}, '
-            f'sigma {_fmt(ant.sigma)})</text>',
+            f'(c1 {_fmt(c1[f])}, c2 {_fmt(c2[f])}, '
+            f'sigma {_fmt(sigma[f])})</text>',
         ])
     parts.append("</svg>")
     return "\n".join(parts)

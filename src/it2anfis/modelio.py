@@ -8,6 +8,7 @@ parameter bit for bit.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -56,12 +57,21 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
+def _require_finite(path: Path, label: str, **fields: float) -> None:
+    for field, value in fields.items():
+        if not math.isfinite(value):
+            raise ModelFormatError(f"{path}: {label} field {field!r} is "
+                                   f"not finite: {value!r}")
+
+
 def load_model(path: str | Path) -> tuple[RuleBase, list[FeatureScaler],
                                           TargetScaler, dict]:
     """Read a model file back into (RuleBase, scalers, provenance).
 
     Raises ModelFormatError on an unsupported version, a missing field,
-    or any arity disagreeing with the declared R and F.
+    any arity disagreeing with the declared R and F, or a degenerate
+    scaler: every min, max, mean and std must be finite, with max > min
+    and std > 0.
     """
     path = Path(path)
     try:
@@ -90,10 +100,22 @@ def load_model(path: str | Path) -> tuple[RuleBase, list[FeatureScaler],
                                      min=float(_require(s, "min")),
                                      max=float(_require(s, "max")))
                        for s in raw_scalers]
+    for s in feature_scalers:
+        label = f"feature scaler {s.name!r}"
+        _require_finite(path, label, min=s.min, max=s.max)
+        if not s.max > s.min:
+            raise ModelFormatError(f"{path}: {label} field 'max' must exceed "
+                                   f"min={s.min!r}, got {s.max!r}")
     raw_target = _require(doc, "target_scaler")
     target_scaler = TargetScaler(name=str(_require(raw_target, "name")),
                                  mean=float(_require(raw_target, "mean")),
                                  std=float(_require(raw_target, "std")))
+    label = f"target scaler {target_scaler.name!r}"
+    _require_finite(path, label, mean=target_scaler.mean,
+                    std=target_scaler.std)
+    if not target_scaler.std > 0.0:
+        raise ModelFormatError(f"{path}: {label} field 'std' must be "
+                               f"positive, got {target_scaler.std!r}")
 
     rules = _require(doc, "rules")
     if len(rules) != R:

@@ -57,7 +57,7 @@ def _read_predictions(path) -> list[dict[str, str]]:
 class TestTrainCommand:
     def test_reports_and_artifacts(self, workspace):
         stdout = workspace["train_stdout_it2"]
-        assert re.search(r"^backend=(numpy|numba) mode=it2 rules=3 seed=3 "
+        assert re.search(r"^backend=numpy mode=it2 rules=3 seed=3 "
                          r"epochs_run=8 best_val_mse_std=", stdout,
                          re.MULTILINE)
         for split in ("train", "val", "test"):
@@ -153,6 +153,27 @@ class TestPredictCommand:
                      "--out", str(workspace["root"] / "nope.csv")])
         assert code == 1
         assert "missing model feature columns" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body,expected", [
+        ("0.5,0.25\n0.5\n", "line 3, column 'x2': missing, the row "
+                              "has 1 cells"),
+        ("0.5,0.25\n0.5,nan\n", "line 3, column 'x2': non-finite cell: "
+                                 "'nan'"),
+        ("abc,0.25\n", "line 2, column 'x1': could not convert string "
+                       "to float: 'abc'"),
+    ])
+    @pytest.mark.parametrize("command", ["predict", "explain"])
+    def test_bad_cell_fails_naming_line_and_column(self, workspace, capsys,
+                                                   command, body, expected):
+        bad = workspace["root"] / "bad_cell.csv"
+        bad.write_text("x1,x2\n" + body)
+        out = workspace["root"] / "nope.out"
+        code = main([command, "--model", str(workspace["model_it2"]),
+                     "--data", str(bad), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.strip() == \
+            f"error: {bad}: {expected}"
+        assert not out.exists()
 
 
 class TestExplainCommand:

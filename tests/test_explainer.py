@@ -120,6 +120,12 @@ class TestExplainModel:
             expected_l1 = np.abs(rb.w[j]).sum() + abs(rb.b[j])
             assert rule.consequent_l1_norm == pytest.approx(expected_l1)
 
+    def test_areas_match_fou_area(self, rng):
+        rb = random_rulebase(rng, 5, 4)
+        for e in explain_model(rb).per_feature:
+            ant = rb.antecedent(e.rule_index, e.feature_index)
+            assert e.fou_area == pytest.approx(fou_area(ant), rel=1e-12)
+
     def test_interval_widths_reported(self, rng):
         rb = random_rulebase(rng, 2, 2)
         report = explain_model(rb)

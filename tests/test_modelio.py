@@ -124,6 +124,29 @@ class TestSchemaValidation:
         with pytest.raises(ModelFormatError):
             load_model(path)
 
+    @pytest.mark.parametrize("scaler,field,value,expected", [
+        ("feature", "max", 0.0, "feature scaler 'x2' field 'max'"),
+        ("feature", "max", -1.0, "feature scaler 'x2' field 'max'"),
+        ("feature", "min", float("inf"), "feature scaler 'x2' field 'min'"),
+        ("feature", "max", float("nan"), "feature scaler 'x2' field 'max'"),
+        ("target", "std", float("nan"), "target scaler 'energy_mwh' field "
+                                        "'std'"),
+        ("target", "std", 0.0, "target scaler 'energy_mwh' field 'std'"),
+        ("target", "std", -40.0, "target scaler 'energy_mwh' field 'std'"),
+        ("target", "mean", float("-inf"), "target scaler 'energy_mwh' "
+                                          "field 'mean'"),
+    ])
+    def test_degenerate_scaler_rejected(self, tmp_path, rng, toy_scalers,
+                                        scaler, field, value, expected):
+        def mutate(doc):
+            block = (doc["feature_scalers"][1] if scaler == "feature"
+                     else doc["target_scaler"])
+            block[field] = value
+
+        path = _corrupt(tmp_path, rng, toy_scalers, mutate)
+        with pytest.raises(ModelFormatError, match=expected):
+            load_model(path)
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text("{not json")
