@@ -250,6 +250,10 @@ def cmd_evaluate(args) -> int:
     _print_metrics("eval", m.as_dict())
     if not m.mape_defined:
         print("note: MAPE undefined (zero-valued target present)")
+    if raw.dropped_count:
+        print(f"note: {raw.dropped_count} rows dropped (wrong length, "
+              f"unparseable or non-finite cell); metrics cover "
+              f"{raw.n_rows} rows")
     return 0
 
 

@@ -179,7 +179,10 @@ def membership_bounds(ant: IT2Antecedent, x: float) -> tuple[float, float]:
     (mu_L, mu_U) : tuple of float
         0 <= mu_L <= mu_U <= 1.  mu_L is positive in exact arithmetic
         but is 0.0 once exp underflows (0.5 z**2 beyond about 745 for
-        the farther mean); ``kernels.STRENGTH_FLOOR`` handles such rules
+        the farther mean).  ``kernels.fire`` takes one exp of 0.5 z**2
+        summed over a rule's features, so a rule's strength is 0.0 once
+        that sum passes about 745, even where no single factor would
+        underflow; ``kernels.STRENGTH_FLOOR`` handles such rules
         downstream.
     """
     c_mid = 0.5 * (ant.c1 + ant.c2)

@@ -6,8 +6,14 @@ runtime, so they are written as whole-array numpy expressions.  The
 interval membership of an antecedent is evaluated in one place:
 ``membership_offsets`` gives each input's offset from the lower and
 upper bounding Gaussians' means and ``gaussian`` turns an offset into a
-membership degree.  ``fire``, ``ant_grads`` and the explainer all build
-on those two; ``core.membership_bounds`` is the scalar reference.
+membership degree; ``core.membership_bounds`` is the scalar reference.
+
+A rule's firing strength is a product of Gaussians, so ``fire`` works
+in log space: it sums the squared z-scores over features and takes one
+``exp`` per (row, rule).  ``ant_grads`` reuses that product through
+d/dc prod_f g_f = (prod_f g_f) * d_f / sigma_f**2 on the active branch,
+so no leave-one-out product is needed.  The explainer applies
+``gaussian`` to single antecedents.
 """
 
 from __future__ import annotations
@@ -41,16 +47,27 @@ def gaussian(d, sigma):
     return np.exp(-0.5 * z * z)
 
 
+def _strengths(d_l, d_u, sigma):
+    """exp(-0.5 * sum_f (d / sigma)**2) per (row, rule) for both offsets.
+
+    Once half the sum passes about 745 the result is exactly 0, as the
+    product would be: one factor that underflows alone is enough.
+    """
+    h = -0.5 / (sigma * sigma)
+    return (np.exp(np.einsum("nrf,nrf,rf->nr", d_l, d_l, h)),
+            np.exp(np.einsum("nrf,nrf,rf->nr", d_u, d_u, h)))
+
+
 def fire(X, c1, c2, sigma):
     """Raw lower/upper firing strengths for a batch.
 
     X is (N, F); c1, c2, sigma are (R, F).  Returns (mu_L, mu_U), each
     (N, R): the per-rule product over features of the lower and upper
-    Gaussian membership bounds.
+    Gaussian membership bounds, taken as one exp of the summed squared
+    z-scores.
     """
     d_l, d_u = membership_offsets(X[:, None, :], c1, c2)
-    return (gaussian(d_l, sigma).prod(axis=2),
-            gaussian(d_u, sigma).prod(axis=2))
+    return _strengths(d_l, d_u, sigma)
 
 
 class Reduced(NamedTuple):
@@ -95,62 +112,39 @@ def type_reduce(mu_l, mu_u, yr, q, floor=STRENGTH_FLOOR):
                    np.where(ok_u, 1.0 / safe_u, 0.0))
 
 
-def _loo_prod(a):
-    """Leave-one-out product along the last axis, underflow-safe.
-
-    out[..., f] = prod of a[..., f'] over f' != f, computed from prefix
-    and suffix cumulative products so a zero factor never poisons the
-    other positions.
-    """
-    pre = np.ones_like(a)
-    suf = np.ones_like(a)
-    np.cumprod(a[..., :-1], axis=-1, out=pre[..., 1:])
-    rev = np.cumprod(a[..., ::-1], axis=-1)[..., ::-1]
-    suf[..., :-1] = rev[..., 1:]
-    return pre * suf
-
-
 def ant_grads(X, y, c1, c2, sigma, w, b, q, floor=STRENGTH_FLOOR):
     """Gradients of the half mean-squared error w.r.t. c1 and c2.
 
     Differentiates the full inference chain (membership bounds, product
-    t-norm, normalization, interval outputs, q blend) analytically.  At
+    t-norm, normalization, interval outputs, q blend) analytically.
+    Each factor of a rule's strength follows one mean, and its
+    derivative w.r.t. that mean is the factor times d_f / sigma_f**2, so
+    the strength's derivative is the strength times that ratio; no
+    leave-one-out product is needed.  d_l > 0 exactly where the lower
+    bound follows the c1 Gaussian, and d_u < 0 / d_u > 0 where the upper
+    bound follows c1 / c2; on the plateau d_u == 0 and both vanish.  At
     piecewise seams the active branch's one-sided derivative is used.
     Returns (d_c1, d_c2), each (R, F).
     """
     N = X.shape[0]
-    inv_s2 = 1.0 / (sigma * sigma)
-
-    # d_l > 0 exactly where the lower bound follows the c1 Gaussian, and
-    # d_u < 0 / d_u > 0 where the upper bound follows c1 / c2; on the
-    # plateau d_u == 0, so both upper derivatives vanish there
     d_l, d_u = membership_offsets(X[:, None, :], c1, c2)
-    mu_lf = gaussian(d_l, sigma)
-    gl = mu_lf * d_l * inv_s2
-    d_lf_c1 = np.where(d_l > 0, gl, 0.0)
-    d_lf_c2 = np.where(d_l > 0, 0.0, gl)
-
-    mu_uf = gaussian(d_u, sigma)
-    gu = mu_uf * d_u * inv_s2
-    d_uf_c1 = np.where(d_u < 0, gu, 0.0)
-    d_uf_c2 = np.where(d_u > 0, gu, 0.0)
-
-    loo_l = _loo_prod(mu_lf)
-    loo_u = _loo_prod(mu_uf)
+    mu_l, mu_u = _strengths(d_l, d_u, sigma)
     yr = X @ w.T + b
-    red = type_reduce(mu_lf.prod(axis=2), mu_uf.prod(axis=2), yr, q, floor)
+    red = type_reduce(mu_l, mu_u, yr, q, floor)
     e = red.y_p - y
 
     # uniform-fallback rows are locally constant in c (inv is 0 there),
     # so they drop out
-    w_l = (q * e * red.inv_l)[:, None] * (yr - red.y_l[:, None])
-    w_u = ((1.0 - q) * e * red.inv_u)[:, None] * (yr - red.y_u[:, None])
+    a_l = (q * e * red.inv_l)[:, None] * (yr - red.y_l[:, None]) * mu_l
+    a_u = (((1.0 - q) * e * red.inv_u)[:, None] * (yr - red.y_u[:, None])
+           * mu_u)
 
-    d_c1 = (np.einsum("nj,njf->jf", w_l, loo_l * d_lf_c1)
-            + np.einsum("nj,njf->jf", w_u, loo_u * d_uf_c1)) / N
-    d_c2 = (np.einsum("nj,njf->jf", w_l, loo_l * d_lf_c2)
-            + np.einsum("nj,njf->jf", w_u, loo_u * d_uf_c2)) / N
-    return d_c1, d_c2
+    scale = 1.0 / (sigma * sigma * N)
+    d_c1 = (np.einsum("nj,njf->jf", a_l, np.maximum(d_l, 0.0))
+            + np.einsum("nj,njf->jf", a_u, np.minimum(d_u, 0.0)))
+    d_c2 = (np.einsum("nj,njf->jf", a_l, np.minimum(d_l, 0.0))
+            + np.einsum("nj,njf->jf", a_u, np.maximum(d_u, 0.0)))
+    return d_c1 * scale, d_c2 * scale
 
 
 def active_backend():

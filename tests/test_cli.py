@@ -229,6 +229,7 @@ class TestEvaluateCommand:
         match = re.search(r"^eval mse=(\S+) rmse=(\S+)", stdout,
                           re.MULTILINE)
         assert match is not None
+        assert "dropped" not in stdout
 
         out = workspace["root"] / "preds_eval.csv"
         _run(["predict", "--model", str(workspace["model_it2"]),
@@ -239,6 +240,19 @@ class TestEvaluateCommand:
         y_true = raw.rows[:, raw.column_names.index("energy_mwh")]
         mse = float(np.mean((y_pred - y_true) ** 2))
         assert float(match.group(1)) == pytest.approx(mse, rel=1e-12)
+
+    def test_notes_dropped_rows(self, workspace):
+        lines = workspace["data"].read_text().splitlines()
+        lines[5] = ",".join(["nan"] + lines[5].split(",")[1:])
+        lines[9] = lines[9].rsplit(",", 1)[0]
+        data = workspace["root"] / "data_dropped.csv"
+        data.write_text("\n".join(lines) + "\n")
+        code, stdout = _run(["evaluate", "--model",
+                             str(workspace["model_it2"]),
+                             "--data", str(data)])
+        assert code == 0
+        assert re.search(r"^note: 2 rows dropped .* metrics cover 148 rows",
+                         stdout, re.MULTILINE)
 
     def test_missing_model_fails(self, workspace, capsys):
         code = main(["evaluate", "--model", "/nonexistent/model.json",

@@ -1,4 +1,4 @@
-"""The numpy kernels: membership evaluation, products, fallback rows."""
+"""The numpy kernels: membership evaluation, firing, fallback rows."""
 
 from __future__ import annotations
 
@@ -45,24 +45,47 @@ class TestMembership:
         np.testing.assert_array_equal(mu_l, mu_u)
 
 
-class TestLeaveOneOutProduct:
-    def test_matches_bruteforce(self, rng):
-        a = rng.random((4, 3, 5))
-        got = kernels._loo_prod(a)
-        want = np.empty_like(a)
-        for f in range(a.shape[-1]):
-            rest = np.delete(a, f, axis=-1)
-            want[..., f] = rest.prod(axis=-1)
-        np.testing.assert_allclose(got, want, rtol=1e-12)
+def _rule_base(rng, R, F):
+    c = np.sort(rng.uniform(0.0, 1.0, (2, R, F)), axis=0)
+    return c[0], c[1], rng.uniform(0.2, 0.6, (R, F))
 
-    def test_zero_factor_does_not_poison_others(self):
-        a = np.array([[[0.5, 0.0, 0.25]]])
-        got = kernels._loo_prod(a)
-        np.testing.assert_allclose(got[0, 0], [0.0, 0.125, 0.0])
 
-    def test_single_feature(self):
-        a = np.array([[[0.7]]])
-        np.testing.assert_array_equal(kernels._loo_prod(a), [[[1.0]]])
+class TestFire:
+    def test_is_product_of_scalar_bounds(self, rng):
+        for R, F in [(1, 1), (3, 2), (6, 4), (5, 9)]:
+            c1, c2, sigma = _rule_base(rng, R, F)
+            X = rng.uniform(-0.2, 1.2, (4 * R, F))
+            # row n ties rule n % R at its midpoint on every other feature
+            for n in range(0, 4 * R, 2):
+                X[n, ::2] = 0.5 * (c1[n % R, ::2] + c2[n % R, ::2])
+            mu_l, mu_u = kernels.fire(X, c1, c2, sigma)
+            want = np.ones((2, 4 * R, R))
+            for n in range(4 * R):
+                for j in range(R):
+                    for f in range(F):
+                        ant = IT2Antecedent(c1[j, f], c2[j, f], sigma[j, f])
+                        want[:, n, j] *= membership_bounds(ant, X[n, f])
+            np.testing.assert_allclose(mu_l, want[0], rtol=1e-13, atol=0)
+            np.testing.assert_allclose(mu_u, want[1], rtol=1e-13, atol=0)
+
+    def test_zero_exactly_past_exp_underflow(self, rng):
+        # rows walk away from rule 0 along a fixed direction in z-space,
+        # so its summed exponent spans 450..1000 while no single factor
+        # comes near exp's underflow
+        R, F = 4, 6
+        c1, c2, sigma = _rule_base(rng, R, F)
+        u = rng.uniform(0.5, 1.0, F)
+        u /= np.linalg.norm(u)
+        X = c2[0] + np.outer(np.linspace(20.0, 45.0, 500), sigma[0] * u)
+        d_l, d_u = kernels.membership_offsets(X[:, None, :], c1, c2)
+        mu_l, mu_u = kernels.fire(X, c1, c2, sigma)
+        for mu, d in ((mu_l, d_l), (mu_u, d_u)):
+            half_z2 = 0.5 * (d / sigma) ** 2
+            assert half_z2[:, 0].max() < 700
+            half = half_z2.sum(axis=2)
+            assert (half[:, 0] > 746).any() and (half[:, 0] < 740).any()
+            assert (mu[half > 746] == 0.0).all()
+            assert (mu[half < 740] > 0.0).all()
 
 
 class TestFallbackRows:
@@ -80,6 +103,21 @@ class TestFallbackRows:
         # fallback rows only rescale by the sample count
         np.testing.assert_allclose(both[0], base[0] * 8 / 12, rtol=1e-12)
         np.testing.assert_allclose(both[1], base[1] * 8 / 12, rtol=1e-12)
+
+    def test_row_far_out_on_one_feature(self, rng):
+        rb = random_rulebase(rng, 3, 2)
+        near = rng.uniform(0.0, 1.0, (8, 2))
+        X = np.vstack([near, [[0.5, 90.0]]])
+        y = rng.normal(size=9)
+        mu_l, mu_u = kernels.fire(X, rb.c1, rb.c2, rb.sigma)
+        assert (mu_l[8] == 0.0).all() and (mu_u[8] == 0.0).all()
+        args = (rb.c1, rb.c2, rb.sigma, rb.w, rb.b, rb.q)
+        base = kernels.ant_grads(near, y[:8], *args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            both = kernels.ant_grads(X, y, *args)
+        assert np.isfinite(both).all()
+        np.testing.assert_allclose(both[0], base[0] * 8 / 9, rtol=1e-12)
+        np.testing.assert_allclose(both[1], base[1] * 8 / 9, rtol=1e-12)
 
 
 class TestSelection:

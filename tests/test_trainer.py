@@ -118,6 +118,15 @@ class TestApplyConsequentUpdate:
         assert magnitudes[1] < magnitudes[0]
 
 
+def _assert_matches_fd(rb: RuleBase, X, y) -> None:
+    d_c1, d_c2 = antecedent_gradients(rb, X, y)
+    for j, f in np.ndindex(d_c1.shape):
+        fd1 = _fd_gradient(rb, X, y, "c1", (j, f))
+        fd2 = _fd_gradient(rb, X, y, "c2", (j, f))
+        assert d_c1[j, f] == pytest.approx(fd1, rel=1e-4, abs=1e-8)
+        assert d_c2[j, f] == pytest.approx(fd2, rel=1e-4, abs=1e-8)
+
+
 class TestAntecedentGradients:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_finite_differences(self, seed):
@@ -125,13 +134,18 @@ class TestAntecedentGradients:
         rb = random_rulebase(rng, 3, 2, q=float(rng.uniform(0.2, 0.8)))
         X = draw_off_seam(rng, rb, 16)
         y = rng.normal(size=16)
+        _assert_matches_fd(rb, X, y)
+
+    def test_matches_finite_differences_many_features(self):
+        # five features, so each strength's derivative carries a product
+        # over four other factors
+        rng = np.random.default_rng(120)
+        rb = random_rulebase(rng, 7, 5, q=0.35)
+        X = draw_off_seam(rng, rb, 24)
+        y = rng.normal(size=24)
         d_c1, d_c2 = antecedent_gradients(rb, X, y)
-        for j in range(3):
-            for f in range(2):
-                fd1 = _fd_gradient(rb, X, y, "c1", (j, f))
-                fd2 = _fd_gradient(rb, X, y, "c2", (j, f))
-                assert d_c1[j, f] == pytest.approx(fd1, rel=1e-4, abs=1e-8)
-                assert d_c2[j, f] == pytest.approx(fd2, rel=1e-4, abs=1e-8)
+        assert np.abs(d_c1).max() > 1e-4 and np.abs(d_c2).max() > 1e-4
+        _assert_matches_fd(rb, X, y)
 
     def test_plateau_contributes_nothing_single_rule(self):
         # one rule, input inside the plateau on every feature: the upper
