@@ -10,9 +10,11 @@ crisp output, and a fixed blend factor q mixes the two.
 Data is stored as dense per-rule arrays (struct-of-arrays) so batch
 inference runs as whole-array numpy kernels.  The inference chain
 (fire, normalize with the uniform fallback, affine consequents, q blend)
-is written once: ``forward`` fires the rules and hands the strengths to
-``kernels.type_reduce``, and prediction, both gradients, the q update
-and the explainer all read its result.
+is written once: ``forward`` fires the rules, or takes strengths the
+caller already holds, and hands them to ``kernels.type_reduce``;
+prediction, both gradients, the q update and the explainer all read its
+result.  ``predict_arrays`` runs it over row chunks of a fixed byte
+budget, so its memory does not grow with the number of rows.
 """
 
 from __future__ import annotations
@@ -27,6 +29,10 @@ from .kernels import Reduced, fire as _fire_batch, type_reduce
 
 SIGMA_MIN = 0.05
 MIN_SEPARATION = 0.05
+
+#: bytes of one (rows, R, F) float64 temporary per ``predict_arrays``
+#: chunk: 806 rows at R=50, F=13
+PREDICT_CHUNK_BYTES = 4 * 2**20
 
 
 class Mode(enum.Enum):
@@ -203,18 +209,26 @@ def membership_bounds(ant: IT2Antecedent, x: float) -> tuple[float, float]:
     return (mu_l, mu_u)
 
 
-def forward(rb: RuleBase, X: np.ndarray) -> Reduced:
-    """Run the inference chain on a batch of rows.
-
-    Fires every rule on the (N, F) inputs, evaluates the affine rule
-    outputs, and returns ``kernels.type_reduce`` of the two: normalized
-    strengths, the interval outputs and their blend.
-    """
+def _as_rows(rb: RuleBase, X: np.ndarray) -> np.ndarray:
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != rb.n_features:
         raise ValueError(f"input arity does not match: X must be "
                          f"(N, {rb.n_features}), got shape {X.shape}")
-    mu_l, mu_u = _fire_batch(X, rb.c1, rb.c2, rb.sigma)
+    return X
+
+
+def forward(rb: RuleBase, X: np.ndarray, mu=None) -> Reduced:
+    """Run the inference chain on a batch of rows.
+
+    Fires every rule on the (N, F) inputs, evaluates the affine rule
+    outputs, and returns ``kernels.type_reduce`` of the two: normalized
+    strengths, the interval outputs and their blend.  ``mu``, when
+    given, is the (mu_L, mu_U) pair of raw strengths of these rows under
+    the current antecedents, and replaces the firing.
+    """
+    X = _as_rows(rb, X)
+    mu_l, mu_u = (_fire_batch(X, rb.c1, rb.c2, rb.sigma) if mu is None
+                  else mu)
     return type_reduce(mu_l, mu_u, X @ rb.w.T + rb.b, rb.q)
 
 
@@ -222,11 +236,17 @@ def predict_arrays(rb: RuleBase,
                    X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batch inference returning (y_lower, y_upper, y_pred) arrays.
 
-    The workhorse behind predict_one/predict_batch, the trainer, and the
-    evaluation paths; rows are processed independently.
+    The workhorse behind predict_one/predict_batch, validation and the
+    evaluation paths.  Rows are independent, so ``forward`` runs over
+    chunks of ``PREDICT_CHUNK_BYTES`` per (rows, R, F) temporary.
     """
-    red = forward(rb, X)
-    return red.y_l, red.y_u, red.y_p
+    X = _as_rows(rb, X)
+    rows = max(1, PREDICT_CHUNK_BYTES // (8 * rb.n_rules * rb.n_features))
+    out = np.empty((3, X.shape[0]))
+    for lo in range(0, X.shape[0], rows):
+        red = forward(rb, X[lo:lo + rows])
+        out[:, lo:lo + rows] = red.y_l, red.y_u, red.y_p
+    return out[0], out[1], out[2]
 
 
 def predict_one(rb: RuleBase, x: np.ndarray) -> IntervalPrediction:

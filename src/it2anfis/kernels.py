@@ -8,11 +8,14 @@ interval membership of an antecedent is evaluated in one place:
 upper bounding Gaussians' means and ``gaussian`` turns an offset into a
 membership degree; ``core.membership_bounds`` is the scalar reference.
 
-A rule's firing strength is a product of Gaussians, so ``fire`` works
-in log space: it sums the squared z-scores over features and takes one
-``exp`` per (row, rule).  ``ant_grads`` reuses that product through
+A rule's firing strength is a product of Gaussians, so ``memberships``
+works in log space: it sums the squared z-scores over features and
+takes one ``exp`` per (row, rule).  It returns the offsets with the
+strengths, because ``ant_grads_from`` reuses both through
 d/dc prod_f g_f = (prod_f g_f) * d_f / sigma_f**2 on the active branch,
-so no leave-one-out product is needed.  The explainer applies
+so no leave-one-out product is needed.  The trainer keeps one
+``Memberships`` of its training split per antecedent state; ``fire``
+and ``ant_grads`` compute a fresh one per call.  The explainer applies
 ``gaussian`` to single antecedents.
 """
 
@@ -35,9 +38,12 @@ def membership_offsets(x, c1, c2):
     the nearer one and 0 on the plateau [c1, c2].  Returns (d_l, d_u):
     mu_L = gaussian(d_l, sigma) and mu_U = gaussian(d_u, sigma).
     """
-    mid = 0.5 * (c1 + c2)
-    d_l = x - np.where(x <= mid, c2, c1)
-    d_u = x - np.clip(x, c1, c2)
+    a = np.asarray(x - c1)
+    b = np.asarray(x - c2)
+    d_l = np.where(x <= 0.5 * (c1 + c2), b, a)
+    # min(x - c1, 0) + max(x - c2, 0) is x - clip(x, c1, c2), bit for bit
+    d_u = np.minimum(a, 0.0, out=a)
+    d_u += np.maximum(b, 0.0, out=b)
     return d_l, d_u
 
 
@@ -47,27 +53,39 @@ def gaussian(d, sigma):
     return np.exp(-0.5 * z * z)
 
 
-def _strengths(d_l, d_u, sigma):
-    """exp(-0.5 * sum_f (d / sigma)**2) per (row, rule) for both offsets.
+class Memberships(NamedTuple):
+    """Every input's memberships in every rule, for one antecedent state.
 
-    Once half the sum passes about 745 the result is exactly 0, as the
-    product would be: one factor that underflows alone is enough.
+    d_l, d_u are the (N, R, F) offsets of ``membership_offsets``; mu_l,
+    mu_u the (N, R) raw lower and upper firing strengths.
     """
+
+    d_l: np.ndarray
+    d_u: np.ndarray
+    mu_l: np.ndarray
+    mu_u: np.ndarray
+
+
+def memberships(X, c1, c2, sigma):
+    """Offsets and raw firing strengths of a batch.
+
+    X is (N, F); c1, c2, sigma are (R, F).  A strength is the per-rule
+    product over features of the Gaussian membership bounds, taken as
+    exp(-0.5 * sum_f (d / sigma)**2).  Once half the sum passes about
+    745 it is exactly 0, as the product would be: one factor that
+    underflows alone is enough.
+    """
+    d_l, d_u = membership_offsets(X[:, None, :], c1, c2)
     h = -0.5 / (sigma * sigma)
-    return (np.exp(np.einsum("nrf,nrf,rf->nr", d_l, d_l, h)),
-            np.exp(np.einsum("nrf,nrf,rf->nr", d_u, d_u, h)))
+    return Memberships(d_l, d_u,
+                       np.exp(np.einsum("nrf,nrf,rf->nr", d_l, d_l, h)),
+                       np.exp(np.einsum("nrf,nrf,rf->nr", d_u, d_u, h)))
 
 
 def fire(X, c1, c2, sigma):
-    """Raw lower/upper firing strengths for a batch.
-
-    X is (N, F); c1, c2, sigma are (R, F).  Returns (mu_L, mu_U), each
-    (N, R): the per-rule product over features of the lower and upper
-    Gaussian membership bounds, taken as one exp of the summed squared
-    z-scores.
-    """
-    d_l, d_u = membership_offsets(X[:, None, :], c1, c2)
-    return _strengths(d_l, d_u, sigma)
+    """Raw lower/upper firing strengths (mu_L, mu_U), each (N, R)."""
+    mem = memberships(X, c1, c2, sigma)
+    return mem.mu_l, mem.mu_u
 
 
 class Reduced(NamedTuple):
@@ -115,6 +133,16 @@ def type_reduce(mu_l, mu_u, yr, q, floor=STRENGTH_FLOOR):
 def ant_grads(X, y, c1, c2, sigma, w, b, q, floor=STRENGTH_FLOOR):
     """Gradients of the half mean-squared error w.r.t. c1 and c2.
 
+    Evaluates the memberships of X and hands them to ``ant_grads_from``.
+    Returns (d_c1, d_c2), each (R, F).
+    """
+    return ant_grads_from(memberships(X, c1, c2, sigma), X, y, sigma, w, b,
+                          q, floor)
+
+
+def ant_grads_from(mem, X, y, sigma, w, b, q, floor=STRENGTH_FLOOR):
+    """``ant_grads`` at the memberships ``mem`` of X under (c1, c2, sigma).
+
     Differentiates the full inference chain (membership bounds, product
     t-norm, normalization, interval outputs, q blend) analytically.
     Each factor of a rule's strength follows one mean, and its
@@ -127,8 +155,7 @@ def ant_grads(X, y, c1, c2, sigma, w, b, q, floor=STRENGTH_FLOOR):
     Returns (d_c1, d_c2), each (R, F).
     """
     N = X.shape[0]
-    d_l, d_u = membership_offsets(X[:, None, :], c1, c2)
-    mu_l, mu_u = _strengths(d_l, d_u, sigma)
+    d_l, d_u, mu_l, mu_u = mem
     yr = X @ w.T + b
     red = type_reduce(mu_l, mu_u, yr, q, floor)
     e = red.y_p - y

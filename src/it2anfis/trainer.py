@@ -6,6 +6,13 @@ exact analytic gradients over the full training split, with per-element
 clipping.  Both learning rates adapt to the epoch-over-epoch change in
 training error.  The best-validation snapshot is kept and restored, and
 training stops early when validation stalls.
+
+Only the antecedent update moves the memberships, so ``train`` evaluates
+the training split's memberships (``kernels.Memberships``) once before
+the loop and once after each antecedent update.  The mini-batch
+consequent steps, the antecedent gradient, the q update and the train
+error all read that one evaluation; each gradient function still
+computes its own when called without it.
 """
 
 from __future__ import annotations
@@ -97,14 +104,15 @@ class TrainState:
     history: list[EpochRecord] = field(default_factory=list)
 
 
-def consequent_gradients(rb: RuleBase, Xb: np.ndarray,
-                         yb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def consequent_gradients(rb: RuleBase, Xb: np.ndarray, yb: np.ndarray,
+                         mu=None) -> tuple[np.ndarray, np.ndarray]:
     """Batch gradients of the half mean-squared error w.r.t. w and b.
 
     d_b[j] = mean_n(e_n * phi_n_j) and d_w[j] = mean_n(e_n * phi_n_j * x_n),
     with e the blended prediction error and phi = q*fbar_L + (1-q)*fbar_U.
+    ``mu``, the batch's (mu_L, mu_U) raw strengths, skips the firing.
     """
-    red = forward(rb, Xb)
+    red = forward(rb, Xb, mu)
     phi = rb.q * red.f_l + (1.0 - rb.q) * red.f_u
     B = Xb.shape[0]
     weights = (red.y_p - yb)[:, None] * phi
@@ -129,12 +137,19 @@ def apply_consequent_update(rb: RuleBase, d_w: np.ndarray, d_b: np.ndarray,
 
 
 def antecedent_gradients(rb: RuleBase, X_full: np.ndarray,
-                         y_full: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact full-split gradients of the half-MSE w.r.t. c1 and c2."""
+                         y_full: np.ndarray,
+                         mem=None) -> tuple[np.ndarray, np.ndarray]:
+    """Exact full-split gradients of the half-MSE w.r.t. c1 and c2.
+
+    ``mem``, the ``kernels.Memberships`` of X_full under the current
+    antecedents, skips their evaluation.
+    """
     X_full = np.ascontiguousarray(X_full, dtype=np.float64)
     y_full = np.ascontiguousarray(y_full, dtype=np.float64)
-    return kernels.ant_grads(X_full, y_full, rb.c1, rb.c2, rb.sigma,
-                             rb.w, rb.b, rb.q, kernels.STRENGTH_FLOOR)
+    if mem is None:
+        mem = kernels.memberships(X_full, rb.c1, rb.c2, rb.sigma)
+    return kernels.ant_grads_from(mem, X_full, y_full, rb.sigma, rb.w, rb.b,
+                                  rb.q, kernels.STRENGTH_FLOOR)
 
 
 def apply_antecedent_update(rb: RuleBase, d_c1: np.ndarray, d_c2: np.ndarray,
@@ -214,13 +229,15 @@ def _check_finite(rb: RuleBase, epoch: int) -> None:
                 f"at epoch {epoch}")
 
 
-def _mse(rb: RuleBase, X: np.ndarray, y: np.ndarray) -> float:
-    _, _, y_pred = predict_arrays(rb, X)
+def _mse(rb: RuleBase, X: np.ndarray, y: np.ndarray, mu=None) -> float:
+    y_pred = (predict_arrays(rb, X)[2] if mu is None
+              else forward(rb, X, mu).y_p)
     return float(np.mean((y_pred - y) ** 2))
 
 
-def _q_gradient(rb: RuleBase, X: np.ndarray, y: np.ndarray) -> float:
-    red = forward(rb, X)
+def _q_gradient(rb: RuleBase, X: np.ndarray, y: np.ndarray,
+                mu=None) -> float:
+    red = forward(rb, X, mu)
     return float(np.mean((red.y_p - y) * (red.y_l - red.y_u)))
 
 
@@ -252,7 +269,8 @@ def train(rb: RuleBase, data: Dataset, cfg: TrainConfig,
     state = TrainState(eta_cons=cfg.eta_cons, eta_ant=cfg.eta_ant,
                        eta_cons_bounds=cfg.eta_cons_bounds,
                        eta_ant_bounds=cfg.eta_ant_bounds)
-    mse_prev = _mse(rb, Xtr, ytr)
+    mem = kernels.memberships(Xtr, rb.c1, rb.c2, rb.sigma)
+    mse_prev = _mse(rb, Xtr, ytr, (mem.mu_l, mem.mu_u))
 
     log_handle = None
     if cfg.log_path is not None:
@@ -267,21 +285,29 @@ def train(rb: RuleBase, data: Dataset, cfg: TrainConfig,
             order = rng.permutation(n_train)
             for start in range(0, n_train, cfg.batch_size):
                 batch = order[start:start + cfg.batch_size]
-                d_w, d_b = consequent_gradients(rb, Xtr[batch], ytr[batch])
+                d_w, d_b = consequent_gradients(
+                    rb, Xtr[batch], ytr[batch],
+                    (mem.mu_l[batch], mem.mu_u[batch]))
                 apply_consequent_update(rb, d_w, d_b, state.eta_cons,
                                         cfg.lambda_l1, cfg.lambda_l2)
 
-            d_c1, d_c2 = antecedent_gradients(rb, Xtr, ytr)
+            d_c1, d_c2 = antecedent_gradients(rb, Xtr, ytr, mem)
+            # release every reference to the stale memberships before
+            # refiring: arrays that outlive the refire fragment the heap
+            # and raise peak RSS by up to a second (N, R, F) set
+            mem = None
             apply_antecedent_update(rb, d_c1, d_c2, state.eta_ant,
                                     cfg.grad_clip, cfg.min_separation)
+            _check_finite(rb, epoch)
+            mem = kernels.memberships(Xtr, rb.c1, rb.c2, rb.sigma)
 
             if cfg.learn_q:
                 rb.q = float(np.clip(
-                    rb.q - state.eta_ant * _q_gradient(rb, Xtr, ytr),
+                    rb.q - state.eta_ant * _q_gradient(
+                        rb, Xtr, ytr, (mem.mu_l, mem.mu_u)),
                     0.0, 1.0))
 
-            _check_finite(rb, epoch)
-            train_mse = _mse(rb, Xtr, ytr)
+            train_mse = _mse(rb, Xtr, ytr, (mem.mu_l, mem.mu_u))
             val_mse = _mse(rb, Xval, yval)
             if not (math.isfinite(train_mse) and math.isfinite(val_mse)):
                 raise TrainingDiverged(

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from it2anfis import kernels
+from it2anfis import core, kernels
 from it2anfis.core import (IntervalPrediction, IT2Antecedent, Mode, RuleBase,
                            forward, membership_bounds, predict_arrays,
                            predict_batch, predict_one)
@@ -155,16 +155,25 @@ class TestPredict:
         assert p.width == 0.0
 
     def test_batch_matches_per_row(self, rng):
-        rb = random_rulebase(rng, 4, 3)
-        X = rng.uniform(-0.5, 1.5, (32, 3))
-        # rows far from every rule take the uniform fallback mid-batch
-        X[[3, 17]] = [80.0, -75.0, 60.0]
-        batch = predict_batch(rb, X)
-        for n, pred in enumerate(batch):
-            one = predict_one(rb, X[n])
-            assert abs(pred.y_pred - one.y_pred) < 1e-12
-            assert abs(pred.y_lower - one.y_lower) < 1e-12
-            assert abs(pred.y_upper - one.y_upper) < 1e-12
+        # rows far from every rule take the uniform fallback mid-batch;
+        # the second case spans 2.5 chunks of predict_arrays, with
+        # fallback rows on both sides of the first chunk boundary and
+        # opening the third chunk
+        rows = core.PREDICT_CHUNK_BYTES // (8 * 50 * 13)
+        for R, F, X, far in [
+                (4, 3, rng.uniform(-0.5, 1.5, (32, 3)), [3, 17]),
+                (50, 13, rng.uniform(0.0, 1.0, (int(2.5 * rows), 13)),
+                 [rows - 1, rows, 2 * rows])]:
+            rb = random_rulebase(rng, R, F)
+            X[far] = np.resize([80.0, -75.0, 60.0], F)
+            assert (kernels.fire(X[far], rb.c1, rb.c2, rb.sigma)[0]
+                    .sum(axis=1) < kernels.STRENGTH_FLOOR).all()
+            batch = predict_batch(rb, X)
+            for n, pred in enumerate(batch):
+                one = predict_one(rb, X[n])
+                assert abs(pred.y_pred - one.y_pred) < 1e-12
+                assert abs(pred.y_lower - one.y_lower) < 1e-12
+                assert abs(pred.y_upper - one.y_upper) < 1e-12
 
     def test_batch_empty_and_duplicate_rows(self, rng):
         rb = random_rulebase(rng, 3, 2)
@@ -252,3 +261,9 @@ class TestRuleBaseValidation:
         rb = random_rulebase(rng, 2, 3)
         with pytest.raises(ValueError, match="N, 3"):
             predict_arrays(rb, np.zeros((4, 2)))
+        # longer than one chunk at the right arity: the caller's full
+        # shape is named, not a chunk's
+        n = core.PREDICT_CHUNK_BYTES // (8 * 2 * 3) + 5
+        with pytest.raises(ValueError, match=rf"\(N, 3\), got shape "
+                                             rf"\({n}, 2\)"):
+            predict_arrays(rb, np.zeros((n, 2)))

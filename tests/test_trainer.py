@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from it2anfis import kernels
 from it2anfis.core import Mode, RuleBase, predict_arrays
 from it2anfis.dataset import (SyntheticSpec, generate_synthetic,
                               normalize_and_split)
@@ -393,3 +394,99 @@ class TestTrain:
             TrainConfig(eta_cons=-1.0).validate()
         with pytest.raises(ValueError):
             TrainConfig(eta_cons_bounds=(0.1, 0.01)).validate()
+
+
+def _uncached_train(rb, data, cfg):
+    """``train`` written out from the uncached public functions.
+
+    Every gradient and error fires its own rows afresh, so a membership
+    cache that goes stale inside ``train`` makes the two disagree.
+    """
+    Xtr, ytr = data.subset(data.train_idx)
+    Xval, yval = data.subset(data.val_idx)
+    rng = np.random.default_rng(cfg.seed)
+    state = TrainState(eta_cons=cfg.eta_cons, eta_ant=cfg.eta_ant)
+
+    def mse(X, y):
+        return float(np.mean((predict_arrays(rb, X)[2] - y) ** 2))
+
+    mse_prev = mse(Xtr, ytr)
+    for epoch in range(1, cfg.max_epochs + 1):
+        eta_cons_used, eta_ant_used = state.eta_cons, state.eta_ant
+        order = rng.permutation(Xtr.shape[0])
+        for start in range(0, Xtr.shape[0], cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
+            d_w, d_b = consequent_gradients(rb, Xtr[batch], ytr[batch])
+            apply_consequent_update(rb, d_w, d_b, state.eta_cons,
+                                    cfg.lambda_l1, cfg.lambda_l2)
+        d_c1, d_c2 = antecedent_gradients(rb, Xtr, ytr)
+        apply_antecedent_update(rb, d_c1, d_c2, state.eta_ant,
+                                cfg.grad_clip, cfg.min_separation)
+        if cfg.learn_q:
+            y_l, y_u, y_p = predict_arrays(rb, Xtr)
+            q_grad = float(np.mean((y_p - ytr) * (y_l - y_u)))
+            rb.q = float(np.clip(rb.q - state.eta_ant * q_grad, 0.0, 1.0))
+        train_mse, val_mse = mse(Xtr, ytr), mse(Xval, yval)
+        adapt_learning_rates(state, mse_prev, train_mse, cfg.lr_up,
+                             cfg.lr_down_cons, cfg.lr_down_ant)
+        mse_prev = train_mse
+        checkpointed = val_mse < state.best_val_mse
+        if checkpointed:
+            state.best_val_mse = val_mse
+            state.best_snapshot = rb.copy()
+        state.history.append((epoch, train_mse, val_mse, eta_cons_used,
+                              eta_ant_used, checkpointed))
+    return state.best_snapshot, state.history
+
+
+class TestMembershipCache:
+    @pytest.mark.parametrize("mode, learn_q", [(Mode.IT2, True),
+                                               (Mode.TYPE1_ORDER1, False)])
+    def test_train_matches_uncached_loop(self, mode, learn_q):
+        cfg = TrainConfig(max_epochs=8, patience=50, seed=4, batch_size=32,
+                          learn_q=learn_q)
+        rb, data = _toy_training_setup(seed=2, n=300, mode=mode, rules=5,
+                                       features=3)
+        best, state = train(rb.copy(), data, cfg)
+        want_best, want_history = _uncached_train(rb, data, cfg)
+        for name in ("c1", "c2", "sigma", "w", "b"):
+            np.testing.assert_array_equal(getattr(best, name),
+                                          getattr(want_best, name))
+        assert best.q == want_best.q
+        assert [(r.epoch, r.train_mse, r.val_mse, r.eta_cons, r.eta_ant,
+                 r.checkpointed) for r in state.history] == want_history
+
+    def test_one_membership_pass_per_antecedent_state(self, monkeypatch):
+        rb, data = _toy_training_setup(seed=2, n=300, rules=5, features=3)
+        n_train, n_val = len(data.train_idx), len(data.val_idx)
+        assert n_train != n_val
+        rows = []
+        original = kernels.memberships
+
+        def counting(X, *args):
+            rows.append(X.shape[0])
+            return original(X, *args)
+
+        monkeypatch.setattr(kernels, "memberships", counting)
+        cfg = TrainConfig(max_epochs=6, patience=50, seed=1, learn_q=True)
+        train(rb, data, cfg)
+        assert rows.count(n_train) == cfg.max_epochs + 1
+        # everything else is the validation predict, once per epoch
+        assert sorted(set(rows)) == sorted({n_train, n_val})
+
+    def test_gradients_equal_with_and_without_strengths(self, rng):
+        rb = random_rulebase(rng, 6, 4, q=0.4)
+        X = rng.uniform(-0.2, 1.2, (90, 4))
+        X[7] = 60.0  # a uniform-fallback row
+        y = rng.normal(size=90)
+        mem = kernels.memberships(X, rb.c1, rb.c2, rb.sigma)
+        batch = rng.permutation(90)[:32]
+        plain = consequent_gradients(rb, X[batch], y[batch])
+        cached = consequent_gradients(rb, X[batch], y[batch],
+                                      (mem.mu_l[batch], mem.mu_u[batch]))
+        for a, b in zip(plain, cached):
+            np.testing.assert_array_equal(a, b)
+        plain = antecedent_gradients(rb, X, y)
+        cached = antecedent_gradients(rb, X, y, mem)
+        for a, b in zip(plain, cached):
+            np.testing.assert_array_equal(a, b)
