@@ -1,8 +1,8 @@
 """Interval type-2 neuro-fuzzy regression with explainable intervals.
 
 Public surface: the rule-base core (types plus inference), dataset
-plumbing, the initializer, the trainer, type-1 baselines, uncertainty
-explanation, metrics, persistence, and the benchmark sweep.
+plumbing, the initializer, the trainer, uncertainty explanation,
+metrics, persistence, and the benchmark sweep.
 """
 
 from .core import (IntervalPrediction, IT2Antecedent, Mode, RuleBase,
@@ -16,7 +16,6 @@ from .explainer import (FeatureUncertainty, RuleUncertainty,
                         export_rules_text, fou_area)
 from .initializer import (InitConfig, build_rulebase, lhs_centers,
                           partition_width)
-from .baselines import make_type1
 from .kernels import active_backend
 from .metrics import MetricSet, evaluate, mean_metrics
 from .modelio import ModelFormatError, load_model, save_model
@@ -39,7 +38,7 @@ __all__ = [
     "consequent_gradients", "enforce_constraints", "evaluate",
     "explain_instance", "explain_model", "export_rules_text", "forward",
     "fou_area", "generate_synthetic", "inverse_target", "lhs_centers",
-    "load_csv", "load_model", "make_type1", "mean_metrics",
+    "load_csv", "load_model", "mean_metrics",
     "membership_bounds", "normalize_and_split", "partition_width",
     "predict_arrays", "predict_batch", "predict_one", "run_seed",
     "save_model", "sweep", "train",

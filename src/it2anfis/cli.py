@@ -18,16 +18,16 @@ import numpy as np
 
 from . import kernels
 from .core import predict_arrays
-from .dataset import (Dataset, FeatureScaler, RawTable, SyntheticSpec,
-                      _parse_cell, generate_synthetic, inverse_target,
-                      load_csv, normalize_and_split)
+from .dataset import (FeatureScaler, RawTable, SyntheticSpec,
+                      generate_synthetic, inverse_target, load_csv,
+                      load_features, normalize_and_split)
 from .explainer import (explain_instance, explain_model, export_rules_text,
                         render_rule_svg)
 from .initializer import InitConfig, build_rulebase, ranges_from_training
 from .metrics import evaluate
 from .modelio import load_model, save_model
 from .sweep import (LABEL_MODES, SweepConfig, aggregate, render_sweep_svg,
-                    summary_dict, sweep, write_csv)
+                    split_metrics, summary_dict, sweep, write_csv)
 from .trainer import TrainConfig, train
 
 PREDICTION_COLUMNS = ("index", "y_pred_mwh", "interval_lo_mwh",
@@ -39,7 +39,7 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--target", default="energy_mwh",
                    help="target column name (default: energy_mwh)")
     p.add_argument("--date-col", default=None,
-                   help="date column to carry along, excluded from features")
+                   help="date column to skip; never a feature")
     p.add_argument("--synthetic", action="store_true",
                    help="generate data instead of reading --data")
     p.add_argument("--synth-samples", type=int, default=1000)
@@ -83,14 +83,6 @@ def _train_config(args, log_path) -> TrainConfig:
                        log_path=log_path)
 
 
-def _split_metrics(rb, data: Dataset, idx) -> dict[str, float]:
-    X, y = data.subset(idx)
-    _, _, y_pred = predict_arrays(rb, X)
-    m = evaluate(inverse_target(y, data.target_scaler),
-                 inverse_target(y_pred, data.target_scaler))
-    return m.as_dict()
-
-
 def _print_metrics(label: str, values: dict[str, float]) -> None:
     cells = " ".join(f"{k}={v:.17g}" for k, v in values.items())
     print(f"{label} {cells}")
@@ -115,9 +107,9 @@ def cmd_train(args) -> int:
           f"rules={args.rules} seed={args.seed} "
           f"epochs_run={state.epoch} best_val_mse_std="
           f"{state.best_val_mse:.17g}")
-    _print_metrics("train", _split_metrics(best, data, data.train_idx))
-    _print_metrics("val", _split_metrics(best, data, data.val_idx))
-    _print_metrics("test", _split_metrics(best, data, data.test_idx))
+    for label, idx in (("train", data.train_idx), ("val", data.val_idx),
+                       ("test", data.test_idx)):
+        _print_metrics(label, split_metrics(best, data, idx).as_dict())
 
     save_model(best, out, data.feature_scalers, data.target_scaler,
                provenance={"init_seed": args.seed, "mode": args.mode,
@@ -125,50 +117,6 @@ def cmd_train(args) -> int:
     print(f"model written to {out}")
     print(f"epoch log written to {log_path}")
     return 0
-
-
-def _read_feature_matrix(path: str | Path,
-                         feature_names: list[str]) -> np.ndarray:
-    """Feature columns selected by name; zero data rows are allowed.
-
-    Every selected cell must be a finite real.  A row too short to hold
-    a selected column, or a cell that does not parse, raises ValueError
-    naming the file, the line and the column.
-    """
-    path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"no such data file: {path}")
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected a header row")
-        missing = [c for c in feature_names if c not in header]
-        if missing:
-            raise ValueError(f"{path}: missing model feature columns "
-                             f"{missing}")
-        positions = [header.index(c) for c in feature_names]
-        rows = []
-        for record in reader:
-            if not record or all(not cell.strip() for cell in record):
-                continue
-            row = []
-            for name, i in zip(feature_names, positions):
-                try:
-                    row.append(_parse_cell(record[i]))
-                except IndexError:
-                    raise ValueError(
-                        f"{path}: line {reader.line_num}, column {name!r}: "
-                        f"missing, the row has {len(record)} cells") from None
-                except ValueError as exc:
-                    raise ValueError(
-                        f"{path}: line {reader.line_num}, column {name!r}: "
-                        f"{exc}") from None
-            rows.append(row)
-    if not rows:
-        return np.empty((0, len(feature_names)))
-    return np.asarray(rows, dtype=np.float64)
 
 
 def _scale_features(X_raw: np.ndarray,
@@ -182,8 +130,7 @@ def _scale_features(X_raw: np.ndarray,
 def cmd_predict(args) -> int:
     rb, feature_scalers, target_scaler, _ = load_model(args.model)
     names = [s.name for s in feature_scalers]
-    X = _scale_features(_read_feature_matrix(args.data, names),
-                        feature_scalers)
+    X = _scale_features(load_features(args.data, names), feature_scalers)
 
     y_l, y_u, y_p = predict_arrays(rb, X)
     y_l = inverse_target(y_l, target_scaler)
@@ -208,7 +155,7 @@ def cmd_explain(args) -> int:
     names = [s.name for s in feature_scalers]
     report = explain_model(rb)
     if args.data:
-        X = _scale_features(_read_feature_matrix(args.data, names),
+        X = _scale_features(load_features(args.data, names),
                             feature_scalers)
         report.per_instance = [(i, explain_instance(rb, x, target_scaler)[0])
                                for i, x in enumerate(X)]
@@ -250,10 +197,6 @@ def cmd_evaluate(args) -> int:
     _print_metrics("eval", m.as_dict())
     if not m.mape_defined:
         print("note: MAPE undefined (zero-valued target present)")
-    if raw.dropped_count:
-        print(f"note: {raw.dropped_count} rows dropped (wrong length, "
-              f"unparseable or non-finite cell); metrics cover "
-              f"{raw.n_rows} rows")
     return 0
 
 

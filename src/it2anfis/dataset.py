@@ -2,16 +2,19 @@
 
 Loads a plant-record CSV (daily energy target plus hydraulic, wastewater
 quality, and climate features), or generates a synthetic table with the
-same shape when no file is available.  Features are min-max scaled to
-[0, 1] and the target is z-scored, both fit on the training split only;
-the scalers are retained so every reported metric can be inverted back
-to original units (MWh).
+same shape when no file is available.  Every CSV, labelled or not, goes
+through one reader with one strict policy: a bad row fails the read,
+naming the file, line and column, and is never dropped.  Features are
+min-max scaled to [0, 1] and the target is z-scored, both fit on the
+training split only; the scalers are retained so every reported metric
+can be inverted back to original units (MWh).
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,17 +25,15 @@ import numpy as np
 class RawTable:
     """Parsed numeric table, prior to any scaling.
 
-    Rows containing unparseable or non-finite cells are dropped at load
-    time; ``dropped_count`` reports how many.  A date column, if named,
-    is carried for reporting but never enters the feature matrix.
+    Holds every data line of the file: a line with a bad cell fails the
+    load instead of being dropped.  A date column, if named, is left
+    out of the table (``date_column`` records its name).
     """
 
     column_names: list[str]
     rows: np.ndarray
     target_column: str
     date_column: str | None = None
-    dates: list[str] | None = None
-    dropped_count: int = 0
 
     @property
     def n_rows(self) -> int:
@@ -40,7 +41,7 @@ class RawTable:
 
     @property
     def feature_names(self) -> list[str]:
-        """Numeric columns other than the target (dates live separately)."""
+        """Numeric columns other than the target."""
         return [c for c in self.column_names if c != self.target_column]
 
 
@@ -128,61 +129,95 @@ def _parse_cell(text: str) -> float:
     return value
 
 
-def load_csv(path: str | Path, target_column: str,
-             date_column: str | None = None) -> RawTable:
-    """Read a header-led CSV into a RawTable.
+def _read_csv(path: str | Path, select: Callable[[list[str]], list[str]]
+              ) -> tuple[list[str], np.ndarray]:
+    """The one CSV parse loop, under the one bad-row policy.
 
-    Every non-date column must parse as a finite real; rows violating
-    that are dropped and counted.  Raises on a missing file, a missing
-    target or date column, or when no usable rows remain.
+    ``select(header)`` names the columns to parse, in order, or raises
+    ValueError for what the header lacks.  Blank lines are skipped.  A
+    header that repeats a name, a row whose cell count differs from the
+    header's, or a selected cell that is not a finite real raises
+    ValueError naming the file (and the line and column).  No row is
+    dropped, so row k of the result is the k-th data line of the file.
     """
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"no such data file: {path}")
-    with path.open(newline="", encoding="utf-8") as handle:
+    # a byte that is not UTF-8 decodes to U+FFFD, which no float parses,
+    # so it fails as a bad cell with its line and column named
+    with path.open(newline="", encoding="utf-8", errors="replace") as handle:
         reader = csv.reader(handle)
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise ValueError(f"{path}: empty file, expected a header row")
-        if target_column not in header:
-            raise ValueError(f"{path}: target column {target_column!r} "
-                             f"not in header {header}")
-        if date_column is not None and date_column not in header:
-            raise ValueError(f"{path}: date column {date_column!r} "
-                             f"not in header {header}")
-        date_pos = header.index(date_column) if date_column else None
-
-        numeric_pos = [i for i in range(len(header)) if i != date_pos]
+        repeated = sorted({h for h in header if header.count(h) > 1})
+        if repeated:
+            raise ValueError(f"{path}: header repeats column "
+                             f"{', '.join(map(repr, repeated))}")
+        try:
+            names = select(header)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        positions = [header.index(name) for name in names]
         rows: list[list[float]] = []
-        dates: list[str] = []
-        dropped = 0
         for record in reader:
-            if not record or all(not cell.strip() for cell in record):
+            if not any(cell.strip() for cell in record):
                 continue
             if len(record) != len(header):
-                dropped += 1
-                continue
+                raise ValueError(f"{path}: line {reader.line_num}: "
+                                 f"{len(record)} cells, header has "
+                                 f"{len(header)}")
             try:
-                parsed = [_parse_cell(record[i]) for i in numeric_pos]
+                rows.append([_parse_cell(record[i]) for i in positions])
             except ValueError:
-                dropped += 1
-                continue
-            rows.append(parsed)
-            if date_pos is not None:
-                dates.append(record[date_pos].strip())
+                # the location is formatted only for the failing row
+                for i in positions:
+                    try:
+                        _parse_cell(record[i])
+                    except ValueError as exc:
+                        raise ValueError(
+                            f"{path}: line {reader.line_num}, column "
+                            f"{header[i]!r}: {exc}") from None
+    return names, np.asarray(rows, dtype=np.float64).reshape(-1, len(names))
 
-    if not rows:
-        raise ValueError(f"{path}: zero usable rows "
-                         f"({dropped} dropped)")
-    return RawTable(
-        column_names=[header[i] for i in numeric_pos],
-        rows=np.asarray(rows, dtype=np.float64),
-        target_column=target_column,
-        date_column=date_column,
-        dates=dates if date_column is not None else None,
-        dropped_count=dropped,
-    )
+
+def load_csv(path: str | Path, target_column: str,
+             date_column: str | None = None) -> RawTable:
+    """Read a header-led CSV into a RawTable.
+
+    Every column but the date column must hold a finite real on every
+    data line; the first bad row fails the read (see ``_read_csv``).
+    Raises on a missing file, a missing target or date column, or a
+    file with no data rows.
+    """
+    def numeric_columns(header: list[str]) -> list[str]:
+        for role, name in (("target", target_column), ("date", date_column)):
+            if name is not None and name not in header:
+                raise ValueError(f"{role} column {name!r} not in header "
+                                 f"{header}")
+        return [h for h in header if h != date_column]
+
+    names, rows = _read_csv(path, numeric_columns)
+    if rows.shape[0] == 0:
+        raise ValueError(f"{path}: zero usable rows below the header")
+    return RawTable(column_names=names, rows=rows,
+                    target_column=target_column, date_column=date_column)
+
+
+def load_features(path: str | Path, feature_names: list[str]) -> np.ndarray:
+    """The named feature columns of a CSV, in that order, as (N, F).
+
+    Same policy as ``load_csv``, but only the named columns are parsed
+    and a file with no data rows gives a (0, F) array.
+    """
+    def features(header: list[str]) -> list[str]:
+        missing = [c for c in feature_names if c not in header]
+        if missing:
+            raise ValueError(f"missing model feature columns {missing}")
+        return feature_names
+
+    return _read_csv(path, features)[1]
 
 
 def split_sizes(n: int) -> tuple[int, int, int]:

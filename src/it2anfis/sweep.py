@@ -96,7 +96,8 @@ def run_seed(seed_base: int, rules: int, seed_index: int) -> int:
     return seed_base * 10_000 + rules * 100 + seed_index
 
 
-def _dataset_metrics(rb, data: Dataset, idx: np.ndarray) -> MetricSet:
+def split_metrics(rb, data: Dataset, idx: np.ndarray) -> MetricSet:
+    """Metrics of rb on the rows idx of data, in original target units."""
     X, y = data.subset(idx)
     _, _, y_pred = predict_arrays(rb, X)
     return evaluate(inverse_target(y, data.target_scaler),
@@ -118,8 +119,8 @@ def run_single(raw: RawTable, mode: Mode, rules: int, seed_index: int,
         rb.q = cfg.q
         best, _ = train(rb, data, replace(train_cfg, seed=seed,
                                           log_path=None))
-        test = _dataset_metrics(best, data, data.test_idx)
-        val = _dataset_metrics(best, data, data.val_idx)
+        test = split_metrics(best, data, data.test_idx)
+        val = split_metrics(best, data, data.val_idx)
         wall_ms = (time.perf_counter() - started) * 1e3
         return RunResult(mode=label, rules=rules, seed=seed_index,
                          test=test, val_mse=val.mse, wall_ms=wall_ms)

@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from it2anfis.baselines import make_type1
 from it2anfis.core import (IT2Antecedent, Mode, RuleBase, membership_bounds,
                            predict_arrays, predict_batch)
 from it2anfis.dataset import (RawTable, SyntheticSpec, generate_synthetic,

@@ -1,49 +1,45 @@
-"""Collapsed type-1 comparators: zero width, masked slopes, IT2 limit."""
+"""Collapsed type-1 comparators: zero width, masked slopes, IT2 limit.
+
+A type-1 baseline is the IT2 initializer's output for the same seed
+with ``InitConfig(mode=...)`` set to a type-1 mode.
+"""
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from it2anfis.baselines import make_type1, trainable_parameter_count
 from it2anfis.core import Mode, RuleBase, predict_arrays, predict_batch
 from it2anfis.dataset import Dataset, FeatureScaler, TargetScaler
 from it2anfis.initializer import InitConfig, build_rulebase
 from it2anfis.trainer import TrainConfig, train
 
-from conftest import random_rulebase
-
 RANGES = [(0.0, 1.0), (0.0, 1.0)]
+ORDER_MODES = {0: Mode.TYPE1_ORDER0, 1: Mode.TYPE1_ORDER1}
+
+
+def type1(order: int, ranges=RANGES, **cfg) -> RuleBase:
+    return build_rulebase(InitConfig(mode=ORDER_MODES[order], **cfg), ranges)
 
 
 class TestMakeType1:
     def test_modes(self):
-        cfg = InitConfig(n_rules=3, seed=0)
-        assert make_type1(cfg, 0, RANGES).mode is Mode.TYPE1_ORDER0
-        assert make_type1(cfg, 1, RANGES).mode is Mode.TYPE1_ORDER1
-
-    def test_bad_order(self):
-        with pytest.raises(ValueError, match="order"):
-            make_type1(InitConfig(n_rules=3, seed=0), 2, RANGES)
-
-    def test_source_config_untouched(self):
-        cfg = InitConfig(n_rules=3, seed=0)
-        make_type1(cfg, 0, RANGES)
-        assert cfg.mode is Mode.IT2
+        assert type1(0, n_rules=3, seed=0).mode is Mode.TYPE1_ORDER0
+        assert type1(1, n_rules=3, seed=0).mode is Mode.TYPE1_ORDER1
 
     def test_bounds_collapsed_and_order0_slopes_zero(self):
-        cfg = InitConfig(n_rules=4, seed=7)
-        rb0 = make_type1(cfg, 0, RANGES)
-        rb1 = make_type1(cfg, 1, RANGES)
+        rb0 = type1(0, n_rules=4, seed=7)
+        rb1 = type1(1, n_rules=4, seed=7)
         np.testing.assert_array_equal(rb0.c1, rb0.c2)
         np.testing.assert_array_equal(rb1.c1, rb1.c2)
         np.testing.assert_array_equal(rb0.w, 0.0)
         assert np.any(rb1.w != 0.0)
 
     def test_same_seed_shares_centers_with_it2_midpoints(self):
-        cfg = InitConfig(n_rules=4, seed=7)
-        it2 = build_rulebase(cfg, RANGES)
-        rb1 = make_type1(cfg, 1, RANGES)
+        it2 = build_rulebase(InitConfig(n_rules=4, seed=7), RANGES)
+        rb1 = type1(1, n_rules=4, seed=7)
         np.testing.assert_allclose(rb1.c1, 0.5 * (it2.c1 + it2.c2),
                                    atol=1e-15)
 
@@ -51,7 +47,7 @@ class TestMakeType1:
 class TestZeroWidth:
     @pytest.mark.parametrize("order", [0, 1])
     def test_prediction_width_is_exactly_zero(self, order, rng):
-        rb = make_type1(InitConfig(n_rules=3, seed=1), order, RANGES)
+        rb = type1(order, n_rules=3, seed=1)
         X = rng.uniform(-0.5, 1.5, (40, 2))
         y_l, y_u, y_p = predict_arrays(rb, X)
         np.testing.assert_array_equal(y_l, y_u)
@@ -63,25 +59,11 @@ class TestZeroWidth:
         X = rng.uniform(-0.5, 1.5, (25, 2))
         outputs = []
         for q in (0.0, 0.17, 0.5, 1.0):
-            rb = make_type1(InitConfig(n_rules=3, seed=1), 1, RANGES)
+            rb = type1(1, n_rules=3, seed=1)
             rb.q = q
             outputs.append(predict_arrays(rb, X)[2])
         for other in outputs[1:]:
             np.testing.assert_array_equal(outputs[0], other)
-
-
-class TestParameterCount:
-    def test_order0_counts_biases_only(self, rng):
-        rb = random_rulebase(rng, 5, 3, mode=Mode.TYPE1_ORDER0)
-        assert trainable_parameter_count(rb) == 5
-
-    def test_order1_counts_affine_blocks(self, rng):
-        rb = random_rulebase(rng, 5, 3, mode=Mode.TYPE1_ORDER1)
-        assert trainable_parameter_count(rb) == 5 * 4
-
-    def test_it2_matches_order1(self, rng):
-        rb = random_rulebase(rng, 7, 2)
-        assert trainable_parameter_count(rb) == 7 * 3
 
 
 class TestNarrowIntervalLimit:
@@ -90,7 +72,7 @@ class TestNarrowIntervalLimit:
         collapsed model built from the same seed."""
         cfg = InitConfig(n_rules=4, seed=3, alpha=1e-12)
         it2 = build_rulebase(cfg, RANGES)
-        t1 = make_type1(cfg, 1, RANGES)
+        t1 = build_rulebase(replace(cfg, mode=Mode.TYPE1_ORDER1), RANGES)
         np.testing.assert_array_equal(it2.w, t1.w)
         np.testing.assert_array_equal(it2.b, t1.b)
         X = rng.uniform(0.0, 1.0, (50, 2))
@@ -114,7 +96,7 @@ def _constant_target_dataset(n: int = 40) -> Dataset:
 class TestTrainingBehavior:
     def test_order0_slopes_stay_zero_through_training(self):
         data = _constant_target_dataset()
-        rb = make_type1(InitConfig(n_rules=3, seed=2), 0, RANGES)
+        rb = type1(0, n_rules=3, seed=2)
         cfg = TrainConfig(max_epochs=20, patience=50, seed=2)
         best, _ = train(rb, data, cfg)
         np.testing.assert_array_equal(best.w, 0.0)
@@ -124,7 +106,7 @@ class TestTrainingBehavior:
         # standardized target identically zero: biases must shrink
         # toward zero and predictions follow
         data = _constant_target_dataset()
-        rb = make_type1(InitConfig(n_rules=2, seed=2), 0, RANGES)
+        rb = type1(0, n_rules=2, seed=2)
         cfg = TrainConfig(max_epochs=300, patience=300, seed=2,
                           lambda_l1=0.0, lambda_l2=0.0)
         best, state = train(rb, data, cfg)
@@ -136,8 +118,7 @@ class TestTrainingBehavior:
     def test_order1_beats_order0_on_sloped_target(self, small_dataset):
         results = {}
         for order in (0, 1):
-            rb = make_type1(InitConfig(n_rules=5, seed=4), order,
-                            [(0.0, 1.0)] * 3)
+            rb = type1(order, [(0.0, 1.0)] * 3, n_rules=5, seed=4)
             cfg = TrainConfig(max_epochs=60, patience=60, seed=4)
             _, state = train(rb, data=small_dataset, cfg=cfg)
             results[order] = state.best_val_mse

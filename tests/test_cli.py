@@ -155,8 +155,7 @@ class TestPredictCommand:
         assert "missing model feature columns" in capsys.readouterr().err
 
     @pytest.mark.parametrize("body,expected", [
-        ("0.5,0.25\n0.5\n", "line 3, column 'x2': missing, the row "
-                              "has 1 cells"),
+        ("0.5,0.25\n0.5\n", "line 3: 1 cells, header has 2"),
         ("0.5,0.25\n0.5,nan\n", "line 3, column 'x2': non-finite cell: "
                                  "'nan'"),
         ("abc,0.25\n", "line 2, column 'x1': could not convert string "
@@ -229,7 +228,6 @@ class TestEvaluateCommand:
         match = re.search(r"^eval mse=(\S+) rmse=(\S+)", stdout,
                           re.MULTILINE)
         assert match is not None
-        assert "dropped" not in stdout
 
         out = workspace["root"] / "preds_eval.csv"
         _run(["predict", "--model", str(workspace["model_it2"]),
@@ -241,24 +239,59 @@ class TestEvaluateCommand:
         mse = float(np.mean((y_pred - y_true) ** 2))
         assert float(match.group(1)) == pytest.approx(mse, rel=1e-12)
 
-    def test_notes_dropped_rows(self, workspace):
-        lines = workspace["data"].read_text().splitlines()
-        lines[5] = ",".join(["nan"] + lines[5].split(",")[1:])
-        lines[9] = lines[9].rsplit(",", 1)[0]
-        data = workspace["root"] / "data_dropped.csv"
-        data.write_text("\n".join(lines) + "\n")
-        code, stdout = _run(["evaluate", "--model",
-                             str(workspace["model_it2"]),
-                             "--data", str(data)])
-        assert code == 0
-        assert re.search(r"^note: 2 rows dropped .* metrics cover 148 rows",
-                         stdout, re.MULTILINE)
-
     def test_missing_model_fails(self, workspace, capsys):
         code = main(["evaluate", "--model", "/nonexistent/model.json",
                      "--data", str(workspace["data"])])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestInputPolicy:
+    """Every command reads a CSV under the same strict bad-row policy."""
+
+    @staticmethod
+    def _commands(workspace, data):
+        model = ["--model", str(workspace["model_it2"])]
+        out = str(workspace["root"] / "policy.out")
+        return {
+            "train": ["train", "--data", str(data), "--max-epochs", "1",
+                      "--out", out],
+            "sweep": ["sweep", "--data", str(data), "--rules-list", "2",
+                      "--seeds", "1", "--max-epochs", "1", "--out", out],
+            "evaluate": ["evaluate", *model, "--data", str(data)],
+            "predict": ["predict", *model, "--data", str(data),
+                        "--out", out],
+            "explain": ["explain", *model, "--data", str(data),
+                        "--out", out],
+        }
+
+    @pytest.mark.parametrize("line,edit,expected", [
+        (6, lambda cells: ["nan"] + cells[1:],
+         "line 6, column 'x1': non-finite cell: 'nan'"),
+        (10, lambda cells: cells[:-1], "line 10: 2 cells, header has 3"),
+    ], ids=["nan", "short"])
+    def test_bad_row_fails_every_command(self, workspace, capsys, line,
+                                         edit, expected):
+        lines = workspace["data"].read_text().splitlines()
+        lines[line - 1] = ",".join(edit(lines[line - 1].split(",")))
+        data = workspace["root"] / "bad_row.csv"
+        data.write_text("\n".join(lines) + "\n")
+        for command, argv in self._commands(workspace, data).items():
+            assert main(argv) == 1, command
+            assert capsys.readouterr().err.strip() == \
+                f"error: {data}: {expected}", command
+
+    def test_repeated_header_name_fails(self, workspace, capsys):
+        # two different x1 columns: no command may pick one silently
+        lines = workspace["data"].read_text().splitlines()
+        data = workspace["root"] / "repeated.csv"
+        data.write_text("\n".join(f"{ln.split(',')[1]},{ln}"
+                                  if k else f"x1,{ln}"
+                                  for k, ln in enumerate(lines)) + "\n")
+        for command, argv in self._commands(workspace, data).items():
+            assert main(argv) == 1, command
+            assert capsys.readouterr().err.strip() == \
+                f"error: {data}: header repeats column 'x1'", command
 
 
 class TestSweepCommand:

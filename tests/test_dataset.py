@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import math
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from it2anfis.dataset import (SyntheticSpec, generate_synthetic,
-                              inverse_target, load_csv, normalize_and_split,
-                              split_sizes, TargetScaler)
+                              inverse_target, load_csv, load_features,
+                              normalize_and_split, split_sizes, TargetScaler)
 
 
 def _write(tmp_path, name: str, text: str):
@@ -24,7 +30,6 @@ class TestLoadCsv:
         assert raw.column_names == ["a", "b", "energy_mwh"]
         assert raw.feature_names == ["a", "b"]
         assert raw.n_rows == 2
-        assert raw.dropped_count == 0
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="nope.csv"):
@@ -40,20 +45,28 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="zero usable rows"):
             load_csv(path, "energy_mwh")
 
-    def test_bad_rows_dropped_and_counted(self, tmp_path):
-        path = _write(tmp_path, "d.csv",
-                      "a,energy_mwh\n1,10\nNaN,20\n3,30\noops,40\n4,inf\n")
-        raw = load_csv(path, "energy_mwh")
-        assert raw.n_rows == 2
-        assert raw.dropped_count == 3
+    @pytest.mark.parametrize("body,expected", [
+        ("1,10\nNaN,20\n", "line 3, column 'a': non-finite cell: 'NaN'"),
+        ("1,10\n\n3,inf\n", "line 4, column 'energy_mwh': non-finite "
+                             "cell: 'inf'"),
+        ("oops,40\n", "line 2, column 'a': could not convert string to "
+                      "float: 'oops'"),
+        ("1,\n", "line 2, column 'energy_mwh': could not convert string "
+                  "to float: ''"),
+    ], ids=["nan", "inf-after-blank-line", "text", "empty"])
+    def test_bad_cell_fails_naming_line_and_column(self, tmp_path, body,
+                                                   expected):
+        path = _write(tmp_path, "d.csv", "a,energy_mwh\n" + body)
+        with pytest.raises(ValueError) as info:
+            load_csv(path, "energy_mwh")
+        assert str(info.value) == f"{path}: {expected}"
 
     def test_date_column_carried_not_modeled(self, tmp_path):
         path = _write(tmp_path, "d.csv",
                       "date,a,energy_mwh\n2024-01-01,1,10\n"
                       "2024-01-02,2,20\n")
         raw = load_csv(path, "energy_mwh", date_column="date")
-        assert raw.feature_names == ["a"]
-        assert raw.dates == ["2024-01-01", "2024-01-02"]
+        assert raw.column_names == ["a", "energy_mwh"]
         assert raw.rows.shape == (2, 2)
 
     def test_missing_date_column_rejected(self, tmp_path):
@@ -61,12 +74,96 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="'when'"):
             load_csv(path, "energy_mwh", date_column="when")
 
-    def test_short_rows_dropped(self, tmp_path):
+    def test_non_utf8_cell_fails_naming_line_and_column(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"a,energy_mwh\n1,10\n\xff,20\n")
+        with pytest.raises(ValueError,
+                           match=r"line 3, column 'a': could not convert"):
+            load_csv(path, "energy_mwh")
+
+    @pytest.mark.parametrize("row,cells", [("3,4", 2), ("3,4,5,6", 4)],
+                             ids=["short", "long"])
+    def test_wrong_length_row_fails_naming_counts(self, tmp_path, row,
+                                                  cells):
         path = _write(tmp_path, "d.csv",
-                      "a,b,energy_mwh\n1,2,10\n3,4\n")
+                      f"a,b,energy_mwh\n1,2,10\n{row}\n")
+        with pytest.raises(ValueError) as info:
+            load_csv(path, "energy_mwh")
+        assert str(info.value) == \
+            f"{path}: line 3: {cells} cells, header has 3"
+
+    def test_header_repeating_a_name_fails_naming_it(self, tmp_path):
+        path = _write(tmp_path, "d.csv", "a,a,energy_mwh\n1,2,10\n")
+        with pytest.raises(ValueError, match="repeats column 'a'"):
+            load_csv(path, "energy_mwh")
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = _write(tmp_path, "d.csv",
+                      "a,energy_mwh\n\n1,10\n , \n2,20\n\n")
         raw = load_csv(path, "energy_mwh")
-        assert raw.n_rows == 1
-        assert raw.dropped_count == 1
+        np.testing.assert_array_equal(raw.rows, [[1, 10], [2, 20]])
+
+
+HEADER = ["a", "b", "energy_mwh"]
+cells = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                  st.sampled_from(["nan", "inf", "-inf", "", " ", "abc"]))
+lines = st.one_of(st.just(""),
+                  st.lists(cells, min_size=2, max_size=4).map(",".join))
+
+
+def _cell_ok(text: str) -> bool:
+    try:
+        return math.isfinite(float(text))
+    except ValueError:
+        return False
+
+
+def _expected(body: list[str], columns: list[str]):
+    """(first bad line number or None, parsed rows) by the stated policy."""
+    positions = [HEADER.index(c) for c in columns]
+    rows = []
+    for number, line in enumerate(body, start=2):
+        record = line.split(",")
+        if not any(cell.strip() for cell in record):
+            continue
+        if len(record) != len(HEADER) or not all(
+                _cell_ok(record[i]) for i in positions):
+            return number, None
+        rows.append([float(record[i]) for i in positions])
+    return None, rows
+
+
+class TestCsvPolicyProperty:
+    """Any file either parses to finite rows, one per non-blank data
+    line, or fails naming the file and its first bad line."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(body=st.lists(lines, max_size=8))
+    def test_load_csv_and_load_features(self, body):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "p.csv"
+            path.write_text("\n".join([",".join(HEADER), *body]) + "\n",
+                            encoding="utf-8")
+            for columns in (HEADER, ["energy_mwh", "a"]):
+                bad_line, rows = _expected(body, columns)
+                try:
+                    if columns is HEADER:
+                        got = load_csv(path, "energy_mwh").rows
+                    else:
+                        got = load_features(path, columns)
+                except ValueError as exc:
+                    if bad_line is None:
+                        # only the labelled table refuses zero rows
+                        assert columns is HEADER and rows == []
+                        assert str(exc).startswith(f"{path}: zero usable")
+                    else:
+                        assert str(exc).startswith(
+                            f"{path}: line {bad_line}")
+                    continue
+                assert bad_line is None
+                assert got.shape == (len(rows), len(columns))
+                assert np.all(np.isfinite(got))
+                np.testing.assert_array_equal(got, np.reshape(rows, got.shape))
 
 
 class TestNormalizeAndSplit:

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from it2anfis.core import Mode, predict_arrays
+from it2anfis.dataset import FeatureScaler, TargetScaler
 from it2anfis.modelio import (FORMAT_VERSION, ModelFormatError, load_model,
                               save_model)
 
@@ -85,6 +90,31 @@ def _corrupt(tmp_path, rng, toy_scalers, mutate):
     return path
 
 
+# (path into the saved document, new value, what the error must say)
+MALFORMED = [
+    (("rules", 0), 5, "rule 0 is not a JSON object"),
+    (("rules", 0, "c1"), 1.0, "rule 0 field 'c1' is not a list"),
+    (("rules", 0, "c1"), ["a", "b"], "rule 0 field 'c1' holds a value "
+                                     "that is not a finite number"),
+    (("rules", 0, "b"), [1, 2], "rule 0 field 'b' is not a finite "
+                                "number"),
+    (("rules", 2, "sigma", 1), True, "rule 2 field 'sigma' holds"),
+    (("feature_scalers", 0), None, "feature scaler 0 is not a JSON "
+                                   "object"),
+    (("feature_scalers", 0, "min"), "zz", "feature scaler 'x1' field "
+                                          "'min' is not a finite number"),
+    (("feature_scalers", 1, "name"), 7, "feature scaler 1 field 'name' "
+                                        "is not a str"),
+    (("target_scaler",), None, "target scaler is not a JSON object"),
+    (("q",), "abc", "document field 'q' is not a finite number"),
+    (("q",), 10 ** 400, "document field 'q' is not a finite number"),
+    (("F",), "x", "field 'F' must be a positive integer"),
+    (("F",), 2.7, "field 'F' must be a positive integer"),
+    (("R",), 0, "field 'R' must be a positive integer"),
+    (("format_version",), True, "unsupported format_version"),
+]
+
+
 class TestSchemaValidation:
     def test_wrong_version(self, tmp_path, rng, toy_scalers):
         path = _corrupt(tmp_path, rng, toy_scalers,
@@ -153,6 +183,28 @@ class TestSchemaValidation:
         with pytest.raises(ModelFormatError, match="not valid JSON"):
             load_model(path)
 
+    @pytest.mark.parametrize("keys,value,expected", MALFORMED, ids=[
+        f"{'.'.join(map(str, keys))}={value!r:.12}"
+        for keys, value, _ in MALFORMED])
+    def test_malformed_field_named(self, tmp_path, rng, toy_scalers, keys,
+                                   value, expected):
+        def mutate(doc):
+            for key in keys[:-1]:
+                doc = doc[key]
+            doc[keys[-1]] = value
+
+        path = _corrupt(tmp_path, rng, toy_scalers, mutate)
+        with pytest.raises(ModelFormatError) as info:
+            load_model(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert expected in str(info.value)
+
+    def test_non_utf8_bytes(self, tmp_path, rng, toy_scalers):
+        path = _save(tmp_path, random_rulebase(rng, 2, 2), toy_scalers)
+        path.write_bytes(b"\xff\xfe" + path.read_bytes())
+        with pytest.raises(ModelFormatError, match="not valid JSON"):
+            load_model(path)
+
     def test_invalid_parameters_rejected(self, tmp_path, rng, toy_scalers):
         # loading runs the structural validator, so a file whose bounds
         # are out of order cannot come back as a usable model
@@ -170,3 +222,85 @@ class TestSchemaValidation:
         rb = random_rulebase(rng, 2, 3)
         with pytest.raises(ValueError, match="scaler"):
             save_model(rb, tmp_path / "m.json", features, target)
+
+
+def _paths(node, prefix=()):
+    """Every location in a JSON document, the root included."""
+    yield prefix
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-10 ** 400, 10 ** 400)
+    | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner,
+                                     max_size=3)),
+    max_leaves=6)
+
+
+def _saved_text() -> str:
+    rb = random_rulebase(np.random.default_rng(5), 3, 2)
+    features = [FeatureScaler(name=f"x{k + 1}", min=0.0, max=1.0)
+                for k in range(2)]
+    target = TargetScaler(name="energy_mwh", mean=260.0, std=40.0)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        save_model(rb, path, features, target)
+        return path.read_text(encoding="utf-8")
+
+
+SAVED = _saved_text()
+
+
+class TestLoadModelProperty:
+    """A damaged model file either loads as a valid, finite model or
+    raises ModelFormatError; nothing else escapes."""
+
+    @staticmethod
+    def _check(data: bytes) -> None:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.json"
+            path.write_bytes(data)
+            try:
+                rb, features, target, _ = load_model(path)
+            except ModelFormatError as exc:
+                assert str(exc).startswith(f"{path}: ")
+                return
+        rb.validate()
+        assert all(np.isfinite([s.min, s.max]).all() for s in features)
+        assert np.isfinite([target.mean, target.std]).all()
+        X = np.random.default_rng(0).uniform(-0.5, 1.5, (8, rb.n_features))
+        assert np.all(np.isfinite(predict_arrays(rb, X)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(cut=st.integers(0, len(SAVED)))
+    def test_truncated(self, cut):
+        self._check(SAVED[:cut].encode("utf-8"))
+
+    @settings(max_examples=200, deadline=None)
+    @given(at=st.integers(0, len(SAVED) - 1), byte=st.integers(0, 255))
+    def test_byte_replaced(self, at, byte):
+        data = bytearray(SAVED.encode("utf-8"))
+        data[at] = byte
+        self._check(bytes(data))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), value=json_values, delete=st.booleans())
+    def test_value_replaced_or_deleted(self, data, value, delete):
+        doc = json.loads(SAVED)
+        where = data.draw(st.sampled_from(list(_paths(doc))))
+        if not where:
+            doc = value
+        else:
+            parent = doc
+            for key in where[:-1]:
+                parent = parent[key]
+            if delete:
+                del parent[where[-1]]
+            else:
+                parent[where[-1]] = value
+        self._check(json.dumps(doc).encode("utf-8"))
