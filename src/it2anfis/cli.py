@@ -26,8 +26,9 @@ from .explainer import (explain_instance, explain_model, export_rules_text,
 from .initializer import InitConfig, build_rulebase, ranges_from_training
 from .metrics import evaluate
 from .modelio import load_model, save_model
-from .sweep import (LABEL_MODES, SweepConfig, aggregate, render_sweep_svg,
-                    split_metrics, summary_dict, sweep, write_csv)
+from .sweep import (LABEL_MODES, MAX_SEEDS, SweepConfig, aggregate,
+                    render_sweep_svg, split_metrics, summary_dict, sweep,
+                    write_csv)
 from .trainer import TrainConfig, train
 
 PREDICTION_COLUMNS = ("index", "y_pred_mwh", "interval_lo_mwh",
@@ -301,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated rule counts, overrides "
                               "--rules-min/--rules-max")
     p_sweep.add_argument("--seeds", type=int, default=10,
-                         help="seeds per (mode, rule count)")
+                         help="seeds per (mode, rule count), at most "
+                              f"{MAX_SEEDS}")
     p_sweep.add_argument("--modes", default="it2",
                          help="comma-separated subset of it2,anfis0,anfis1")
     p_sweep.add_argument("--parallelism", type=int, default=1)

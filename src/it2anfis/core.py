@@ -30,8 +30,8 @@ from .kernels import Reduced, fire as _fire_batch, type_reduce
 SIGMA_MIN = 0.05
 MIN_SEPARATION = 0.05
 
-#: bytes of one (rows, R, F) float64 temporary per ``predict_arrays``
-#: chunk: 806 rows at R=50, F=13
+#: bytes of a (rows, R, F) float64 array, which sets the rows per
+#: ``predict_arrays`` chunk: 806 rows at R=50, F=13
 PREDICT_CHUNK_BYTES = 4 * 2**20
 
 
@@ -238,7 +238,7 @@ def predict_arrays(rb: RuleBase,
 
     The workhorse behind predict_one/predict_batch, validation and the
     evaluation paths.  Rows are independent, so ``forward`` runs over
-    chunks of ``PREDICT_CHUNK_BYTES`` per (rows, R, F) temporary.
+    row chunks sized by ``PREDICT_CHUNK_BYTES``.
     """
     X = _as_rows(rb, X)
     rows = max(1, PREDICT_CHUNK_BYTES // (8 * rb.n_rules * rb.n_features))

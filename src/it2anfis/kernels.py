@@ -3,20 +3,30 @@
 The inner loops of inference and training (per-sample, per-rule,
 per-feature membership products and chain-rule accumulation) dominate
 runtime, so they are written as whole-array numpy expressions.  The
-interval membership of an antecedent is evaluated in one place:
+interval membership of an antecedent is defined in one place:
 ``membership_offsets`` gives each input's offset from the lower and
 upper bounding Gaussians' means and ``gaussian`` turns an offset into a
 membership degree; ``core.membership_bounds`` is the scalar reference.
+The explainer applies both to single antecedents, and the tests use
+them as the broadcast reference of the batch kernels.
 
-A rule's firing strength is a product of Gaussians, so ``memberships``
-works in log space: it sums the squared z-scores over features and
-takes one ``exp`` per (row, rule).  It returns the offsets with the
-strengths, because ``ant_grads_from`` reuses both through
+The batch kernels run rules-major.  They take each input's offsets
+a = x - c1 and -b = c2 - x from the (F, N) transpose of the inputs, one
+block of rules at a time, so every numpy inner loop runs over the N rows
+rather than the F features, a block's temporaries stay within
+``RULE_BLOCK_BYTES``, and no kernel picks between a and b with a
+data-dependent ``np.where``.  A rule's firing strength is a product of
+Gaussians, so ``memberships`` takes it in log space from the offsets'
+sizes alone, |d_l| = max(a, -b) and |d_u| = -min(a, -b, 0), squared and
+summed over features in feature order with one ``exp`` per (row, rule).
+These equal ``membership_offsets``'s d_l and d_u in size bit for bit,
+except that at a midpoint tie |d_l| may take the other of two offsets
+that differ by an ulp.  ``ant_grads_from`` reuses the strengths through
 d/dc prod_f g_f = (prod_f g_f) * d_f / sigma_f**2 on the active branch,
-so no leave-one-out product is needed.  The trainer keeps one
-``Memberships`` of its training split per antecedent state; ``fire``
-and ``ant_grads`` compute a fresh one per call.  The explainer applies
-``gaussian`` to single antecedents.
+so no leave-one-out product is needed, and takes the offsets afresh:
+that costs less than holding two (R, F, N) arrays.  The trainer keeps
+one ``Memberships`` of its training split per antecedent state;
+``fire`` and ``ant_grads`` compute a fresh one per call.
 """
 
 from __future__ import annotations
@@ -28,6 +38,12 @@ import numpy as np
 #: below this total raw activation the normalized strengths fall back to
 #: a uniform 1/R split so the output stays finite far from every rule
 STRENGTH_FLOOR = 1e-12
+
+#: bytes of one (rules, F, N) float64 temporary per rule block of
+#: ``memberships`` and ``ant_grads_from``, so that a block's half-dozen
+#: temporaries stay in a 2 MiB L2 cache; at F = 13 a block is one rule
+#: from N = 1261 rows up (a block never holds less than one rule)
+RULE_BLOCK_BYTES = 2**18
 
 
 def membership_offsets(x, c1, c2):
@@ -54,32 +70,78 @@ def gaussian(d, sigma):
 
 
 class Memberships(NamedTuple):
-    """Every input's memberships in every rule, for one antecedent state.
+    """Every input's raw firing strengths, for one antecedent state.
 
-    d_l, d_u are the (N, R, F) offsets of ``membership_offsets``; mu_l,
-    mu_u the (N, R) raw lower and upper firing strengths.
+    mu_l, mu_u are the C-contiguous (N, R) lower and upper strengths.
     """
 
-    d_l: np.ndarray
-    d_u: np.ndarray
     mu_l: np.ndarray
     mu_u: np.ndarray
 
 
-def memberships(X, c1, c2, sigma):
-    """Offsets and raw firing strengths of a batch.
+def _columns(X):
+    """The (F, N) C-contiguous float64 transpose of the (N, F) rows X."""
+    return np.ascontiguousarray(np.asarray(X, dtype=np.float64).T)
 
-    X is (N, F); c1, c2, sigma are (R, F).  A strength is the per-rule
+
+def _block_rules(R, F, N):
+    """Rules per block: ``RULE_BLOCK_BYTES`` // (8 F N), from 1 to R."""
+    return min(R, max(1, RULE_BLOCK_BYTES // (8 * F * max(N, 1))))
+
+
+def _offset_blocks(XT, c1, c2, step):
+    """Walk the rules in blocks of ``step``, with their offsets.
+
+    XT is the (F, N) inputs, c1 and c2 the (R, F) means.  Yields
+    (rules, a, nb): a slice of rules and their (k, F, N) offsets
+    a = x - c1 and nb = c2 - x, in buffers that the next block
+    overwrites.  nb is -(x - c2) bit for bit, and c1 <= c2 gives
+    a >= -nb.
+    """
+    offsets = np.empty((2, step, *XT.shape))
+    for lo in range(0, c1.shape[0], step):
+        rules = slice(lo, min(lo + step, c1.shape[0]))
+        a, nb = offsets[:, :rules.stop - lo]
+        np.subtract(XT, c1[rules, :, None], out=a)
+        np.subtract(c2[rules, :, None], XT, out=nb)
+        yield rules, a, nb
+
+
+def memberships(X, c1, c2, sigma):
+    """Raw firing strengths of a batch.
+
+    X is (N, F); c1, c2, sigma are (R, F), with c1 <= c2 as
+    ``RuleBase.validate`` requires.  A strength is the per-rule
     product over features of the Gaussian membership bounds, taken as
     exp(-0.5 * sum_f (d / sigma)**2).  Once half the sum passes about
     745 it is exactly 0, as the product would be: one factor that
-    underflows alone is enough.
+    underflows alone is enough.  Each row's strengths depend on that
+    row alone, bit for bit, whatever else shares the batch.
     """
-    d_l, d_u = membership_offsets(X[:, None, :], c1, c2)
-    h = -0.5 / (sigma * sigma)
-    return Memberships(d_l, d_u,
-                       np.exp(np.einsum("nrf,nrf,rf->nr", d_l, d_l, h)),
-                       np.exp(np.einsum("nrf,nrf,rf->nr", d_u, d_u, h)))
+    XT = _columns(X)
+    (F, N), R = XT.shape, c1.shape[0]
+    step = _block_rules(R, F, N)
+    h = (-0.5 / (sigma * sigma))[:, :, None]
+    d = np.empty((2, step, F, N))
+    # per side, rules-major: the summed (d / sigma)**2 / -2
+    z = np.empty((2, R, N))
+    for rules, a, nb in _offset_blocks(XT, c1, c2, step):
+        d_r = d[:, :a.shape[0]]
+        # |d_l| = max(|a|, |b|) = max(a, -b): the farther mean's offset
+        np.maximum(a, nb, out=d_r[0])
+        # |d_u| = -min(a, -b, 0): the nearer one's, 0 on the plateau
+        np.minimum(a, nb, out=d_r[1])
+        np.minimum(d_r[1], 0.0, out=d_r[1])
+        np.square(d_r, out=d_r)
+        d_r *= h[rules]
+        # feature order, one slice at a time: a fixed rounding per row
+        z_r = z[:, rules]
+        z_r[...] = d_r[:, :, 0]
+        for f in range(1, F):
+            z_r += d_r[:, :, f]
+    np.exp(z, out=z)
+    mu = z.transpose(0, 2, 1).copy()
+    return Memberships(mu[0], mu[1])
 
 
 def fire(X, c1, c2, sigma):
@@ -136,11 +198,11 @@ def ant_grads(X, y, c1, c2, sigma, w, b, q, floor=STRENGTH_FLOOR):
     Evaluates the memberships of X and hands them to ``ant_grads_from``.
     Returns (d_c1, d_c2), each (R, F).
     """
-    return ant_grads_from(memberships(X, c1, c2, sigma), X, y, sigma, w, b,
-                          q, floor)
+    return ant_grads_from(memberships(X, c1, c2, sigma), X, y, c1, c2,
+                          sigma, w, b, q, floor)
 
 
-def ant_grads_from(mem, X, y, sigma, w, b, q, floor=STRENGTH_FLOOR):
+def ant_grads_from(mem, X, y, c1, c2, sigma, w, b, q, floor=STRENGTH_FLOOR):
     """``ant_grads`` at the memberships ``mem`` of X under (c1, c2, sigma).
 
     Differentiates the full inference chain (membership bounds, product
@@ -148,14 +210,16 @@ def ant_grads_from(mem, X, y, sigma, w, b, q, floor=STRENGTH_FLOOR):
     Each factor of a rule's strength follows one mean, and its
     derivative w.r.t. that mean is the factor times d_f / sigma_f**2, so
     the strength's derivative is the strength times that ratio; no
-    leave-one-out product is needed.  d_l > 0 exactly where the lower
-    bound follows the c1 Gaussian, and d_u < 0 / d_u > 0 where the upper
-    bound follows c1 / c2; on the plateau d_u == 0 and both vanish.  At
-    piecewise seams the active branch's one-sided derivative is used.
-    Returns (d_c1, d_c2), each (R, F).
+    leave-one-out product is needed.  With a = x - c1 and b = x - c2,
+    the lower bound follows c1 past the midpoint (c1 + c2) / 2, where
+    max(d_l, 0) = a, and c2 elsewhere (a tie takes c2), where
+    min(d_l, 0) = b; the upper bound follows c1 through
+    min(d_u, 0) = min(a, 0) and c2 through max(d_u, 0) = max(b, 0), both
+    0 on the plateau.  At piecewise seams the active branch's one-sided
+    derivative is used.  Returns (d_c1, d_c2), each (R, F).
     """
     N = X.shape[0]
-    d_l, d_u, mu_l, mu_u = mem
+    mu_l, mu_u = mem
     yr = X @ w.T + b
     red = type_reduce(mu_l, mu_u, yr, q, floor)
     e = red.y_p - y
@@ -165,13 +229,33 @@ def ant_grads_from(mem, X, y, sigma, w, b, q, floor=STRENGTH_FLOOR):
     a_l = (q * e * red.inv_l)[:, None] * (yr - red.y_l[:, None]) * mu_l
     a_u = (((1.0 - q) * e * red.inv_u)[:, None] * (yr - red.y_u[:, None])
            * mu_u)
+    # (R, 2, N, 1): each rule's lower and upper row weights as columns
+    weights = np.stack((a_l.T, a_u.T), axis=1)[..., None]
 
+    XT = _columns(X)
+    R, F = c1.shape
+    step = _block_rules(R, F, N)
+    mid = (0.5 * (c1 + c2))[:, :, None]
+    # per rule, [[max(d_l, 0), -min(d_l, 0)], [min(d_u, 0), -max(d_u, 0)]]:
+    # the c1 and -c2 halves of each side, reduced over N against its
+    # weights; negating a sum is exact, so d_c2 is negated at the end
+    terms = np.empty((step, 2, 2 * F, N))
+    follows_c1 = np.empty((step, F, N), dtype=bool)
+    d_c = np.empty((R, 2, 2 * F, 1))
+    for rules, a, nb in _offset_blocks(XT, c1, c2, step):
+        k = a.shape[0]
+        t, mask = terms[:k], follows_c1[:k]
+        # the lower bound follows c1 past the midpoint; a tie takes c2
+        np.greater(XT, mid[rules], out=mask)
+        np.multiply(a, mask, out=t[:, 0, :F])
+        np.logical_not(mask, out=mask)
+        np.multiply(nb, mask, out=t[:, 0, F:])
+        np.minimum(a, 0.0, out=t[:, 1, :F])
+        np.minimum(nb, 0.0, out=t[:, 1, F:])
+        np.matmul(t, weights[rules], out=d_c[rules])
+    d_c = d_c[:, 0, :, 0] + d_c[:, 1, :, 0]
     scale = 1.0 / (sigma * sigma * N)
-    d_c1 = (np.einsum("nj,njf->jf", a_l, np.maximum(d_l, 0.0))
-            + np.einsum("nj,njf->jf", a_u, np.minimum(d_u, 0.0)))
-    d_c2 = (np.einsum("nj,njf->jf", a_l, np.minimum(d_l, 0.0))
-            + np.einsum("nj,njf->jf", a_u, np.maximum(d_u, 0.0)))
-    return d_c1 * scale, d_c2 * scale
+    return d_c[:, :F] * scale, -d_c[:, F:] * scale
 
 
 def active_backend():

@@ -30,6 +30,9 @@ MODE_LABELS = {Mode.IT2: "it2", Mode.TYPE1_ORDER0: "anfis0",
                Mode.TYPE1_ORDER1: "anfis1"}
 LABEL_MODES = {v: k for k, v in MODE_LABELS.items()}
 
+#: seed indices per rule count that ``run_seed`` keeps distinct
+MAX_SEEDS = 100
+
 CSV_COLUMNS = ("mode", "rules", "seed", "test_mse", "test_rmse",
                "test_mae", "test_mape", "val_mse", "wall_ms", "status")
 
@@ -51,6 +54,9 @@ class SweepConfig:
             raise ValueError("rule_counts must be non-empty, all >= 1")
         if self.n_seeds < 1:
             raise ValueError("n_seeds must be >= 1")
+        if self.n_seeds > MAX_SEEDS:
+            raise ValueError(f"n_seeds must be <= {MAX_SEEDS}: run_seed "
+                             f"would give two cells the same seed")
         if not self.modes:
             raise ValueError("at least one mode is required")
         if self.parallelism < 1:
@@ -93,7 +99,7 @@ class AggregateRow:
 
 def run_seed(seed_base: int, rules: int, seed_index: int) -> int:
     """Derived per-run seed; adding rule counts never shifts others."""
-    return seed_base * 10_000 + rules * 100 + seed_index
+    return seed_base * 10_000 + rules * MAX_SEEDS + seed_index
 
 
 def split_metrics(rb, data: Dataset, idx: np.ndarray) -> MetricSet:

@@ -148,8 +148,9 @@ def antecedent_gradients(rb: RuleBase, X_full: np.ndarray,
     y_full = np.ascontiguousarray(y_full, dtype=np.float64)
     if mem is None:
         mem = kernels.memberships(X_full, rb.c1, rb.c2, rb.sigma)
-    return kernels.ant_grads_from(mem, X_full, y_full, rb.sigma, rb.w, rb.b,
-                                  rb.q, kernels.STRENGTH_FLOOR)
+    return kernels.ant_grads_from(mem, X_full, y_full, rb.c1, rb.c2,
+                                  rb.sigma, rb.w, rb.b, rb.q,
+                                  kernels.STRENGTH_FLOOR)
 
 
 def apply_antecedent_update(rb: RuleBase, d_c1: np.ndarray, d_c2: np.ndarray,
@@ -293,8 +294,7 @@ def train(rb: RuleBase, data: Dataset, cfg: TrainConfig,
 
             d_c1, d_c2 = antecedent_gradients(rb, Xtr, ytr, mem)
             # release every reference to the stale memberships before
-            # refiring: arrays that outlive the refire fragment the heap
-            # and raise peak RSS by up to a second (N, R, F) set
+            # refiring, so the two (N, R) strength sets never coexist
             mem = None
             apply_antecedent_update(rb, d_c1, d_c2, state.eta_ant,
                                     cfg.grad_clip, cfg.min_separation)

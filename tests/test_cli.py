@@ -322,6 +322,15 @@ class TestSweepCommand:
         assert code == 1
         assert "bogus" in capsys.readouterr().err
 
+    def test_too_many_seeds_fails(self, workspace, capsys):
+        out = workspace["root"] / "many.csv"
+        code = main(["sweep", "--data", str(workspace["data"]),
+                     "--rules-list", "2", "--seeds", "101",
+                     "--max-epochs", "1", "--out", str(out)])
+        assert code == 1
+        assert "n_seeds must be <= 100" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSynthCommand:
     def test_deterministic_bytes(self, tmp_path):

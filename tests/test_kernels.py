@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from it2anfis import kernels
 from it2anfis.core import IT2Antecedent, membership_bounds
@@ -86,6 +87,91 @@ class TestFire:
             assert (half[:, 0] > 746).any() and (half[:, 0] < 740).any()
             assert (mu[half > 746] == 0.0).all()
             assert (mu[half < 740] > 0.0).all()
+
+    @pytest.mark.parametrize("R", [1, 5, 50])
+    def test_rows_independent_of_batch(self, rng, R):
+        # a row's strengths may not depend on the rows that share its
+        # batch: the trainer caches the split's strengths and slices
+        # mini-batches out of them, while prediction fires row chunks
+        F = 13
+        c1, c2, sigma = _rule_base(rng, R, F)
+        X = rng.uniform(-0.2, 1.2, (1280, F))
+        for n in range(0, 1280, 3):
+            X[n, n % F:] = 0.5 * (c1[n % R, n % F:] + c2[n % R, n % F:])
+        whole = kernels.fire(X, c1, c2, sigma)
+        for N in (1, 2, 7, 63, 64, 360, 1280):
+            rows = rng.choice(1280, N, replace=False)
+            part = kernels.fire(X[rows], c1, c2, sigma)
+            for got, full in zip(part, whole):
+                assert got.flags.c_contiguous and full.flags.c_contiguous
+                np.testing.assert_array_equal(got, full[rows])
+
+    def test_collapsed_antecedents_fire_equal_bounds(self, rng):
+        # type-1 rule bases need mu_l == mu_u bit for bit, so that their
+        # output does not depend on q
+        c = rng.uniform(0.0, 1.0, (7, 5))
+        sigma = rng.uniform(0.05, 0.6, (7, 5))
+        X = np.vstack([rng.uniform(-1.0, 2.0, (200, 5)), c])
+        mu_l, mu_u = kernels.fire(X, c, c.copy(), sigma)
+        np.testing.assert_array_equal(mu_l, mu_u)
+        assert (np.diagonal(mu_u[200:]) == 1.0).all()
+
+    def test_upper_strength_is_one_on_every_plateau(self, rng):
+        R, F = 6, 4
+        c1, c2, sigma = _rule_base(rng, R, F)
+        # every rule's plateau [c1, c2] contains [lo, hi] on every feature
+        lo = c1.max(axis=0)
+        c2 = np.maximum(c2, lo + 0.1)
+        hi = c2.min(axis=0)
+        X = lo + rng.random((50, F)) * (hi - lo)
+        X[:2], X[-2:] = lo, hi
+        _, mu_u = kernels.fire(X, c1, c2, sigma)
+        assert (mu_u == 1.0).all()
+
+
+def _reference_ant_grads(X, y, c1, c2, sigma, w, b, q,
+                         floor=kernels.STRENGTH_FLOOR):
+    """The antecedent gradient written out on (N, R, F) offsets.
+
+    Every input's offsets from every antecedent are held at once and
+    the lower bound's branch is picked with ``np.where``; the kernel
+    must agree with it up to the order of its sums.
+    """
+    N = X.shape[0]
+    d_l, d_u = kernels.membership_offsets(X[:, None, :], c1, c2)
+    h = -0.5 / (sigma * sigma)
+    mu_l = np.exp(np.einsum("nrf,nrf,rf->nr", d_l, d_l, h))
+    mu_u = np.exp(np.einsum("nrf,nrf,rf->nr", d_u, d_u, h))
+    yr = X @ w.T + b
+    red = kernels.type_reduce(mu_l, mu_u, yr, q, floor)
+    e = red.y_p - y
+    a_l = (q * e * red.inv_l)[:, None] * (yr - red.y_l[:, None]) * mu_l
+    a_u = (((1.0 - q) * e * red.inv_u)[:, None] * (yr - red.y_u[:, None])
+           * mu_u)
+    scale = 1.0 / (sigma * sigma * N)
+    d_c1 = (np.einsum("nj,njf->jf", a_l, np.maximum(d_l, 0.0))
+            + np.einsum("nj,njf->jf", a_u, np.minimum(d_u, 0.0)))
+    d_c2 = (np.einsum("nj,njf->jf", a_l, np.minimum(d_l, 0.0))
+            + np.einsum("nj,njf->jf", a_u, np.maximum(d_u, 0.0)))
+    return d_c1 * scale, d_c2 * scale
+
+
+class TestAntGrads:
+    @pytest.mark.parametrize("R, F, N", [(1, 3, 40), (5, 4, 90),
+                                         (12, 13, 300), (50, 13, 1280)])
+    def test_matches_reference(self, rng, R, F, N):
+        rb = random_rulebase(rng, R, F, q=0.4)
+        X = rng.uniform(-0.2, 1.2, (N, F))
+        # midpoint ties on every other feature of every third row
+        for n in range(0, N, 3):
+            X[n, ::2] = 0.5 * (rb.c1[n % R, ::2] + rb.c2[n % R, ::2])
+        X[1] = rb.c1[0] + 0.3 * (rb.c2[0] - rb.c1[0])  # on rule 0's plateau
+        X[2] = 60.0  # a uniform-fallback row
+        y = rng.normal(size=N)
+        args = (X, y, rb.c1, rb.c2, rb.sigma, rb.w, rb.b, rb.q)
+        for got, want in zip(kernels.ant_grads(*args),
+                             _reference_ant_grads(*args)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 class TestFallbackRows:

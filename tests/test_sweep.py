@@ -122,6 +122,14 @@ class TestSweepGrid:
         with pytest.raises(ValueError):
             SweepConfig(parallelism=0).validate()
 
+    def test_seed_count_capped_where_run_seeds_stay_distinct(self):
+        SweepConfig(n_seeds=100).validate()
+        # index 100 of R would reuse index 0 of R + 1: run_seed(0, 5, 100)
+        # and run_seed(0, 6, 0) are both 600
+        assert run_seed(0, 5, 100) == run_seed(0, 6, 0)
+        with pytest.raises(ValueError, match="n_seeds must be <= 100"):
+            SweepConfig(n_seeds=101).validate()
+
 
 def _ok_row(mode="it2", rules=5, seed=0, mse=1.0):
     metric = MetricSet(mse=mse, rmse=math.sqrt(mse), mae=mse / 2,
