@@ -158,8 +158,7 @@ def cmd_explain(args) -> int:
     if args.data:
         X = _scale_features(load_features(args.data, names),
                             feature_scalers)
-        report.per_instance = [(i, explain_instance(rb, x, target_scaler)[0])
-                               for i, x in enumerate(X)]
+        report.per_instance = explain_instance(rb, X, target_scaler)[:3]
 
     out = Path(args.out or "report.json")
     out.write_text(json.dumps(report.as_dict(), indent=2) + "\n",

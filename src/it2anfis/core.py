@@ -13,8 +13,9 @@ inference runs as whole-array numpy kernels.  The inference chain
 is written once: ``forward`` fires the rules, or takes strengths the
 caller already holds, and hands them to ``kernels.type_reduce``;
 prediction, both gradients, the q update and the explainer all read its
-result.  ``predict_arrays`` runs it over row chunks of a fixed byte
-budget, so its memory does not grow with the number of rows.
+result.  ``predict_arrays``, the one row-level inference API, and the
+explainer's instance level run it over row chunks of a fixed byte budget
+(``chunk_rows``), so their memory does not grow with the number of rows.
 """
 
 from __future__ import annotations
@@ -29,9 +30,12 @@ from .kernels import Reduced, fire as _fire_batch, type_reduce
 
 SIGMA_MIN = 0.05
 MIN_SEPARATION = 0.05
+#: largest parameter magnitude a rule base may hold: below it the squared
+#: offsets and the affine consequents of inputs near [0, 1] stay finite
+PARAM_LIMIT = 1e150
 
 #: bytes of a (rows, R, F) float64 array, which sets the rows per
-#: ``predict_arrays`` chunk: 806 rows at R=50, F=13
+#: inference chunk (``chunk_rows``): 806 rows at R=50, F=13
 PREDICT_CHUNK_BYTES = 4 * 2**20
 
 
@@ -80,31 +84,6 @@ class IT2Antecedent:
 
 
 @dataclass
-class IntervalPrediction:
-    """Type-reduced output with its bounding interval.
-
-    y_lower and y_upper are the crisp outputs under the lower and upper
-    normalized strengths; they are not guaranteed to be ordered, so
-    ``interval`` reports the sorted pair.
-    """
-
-    y_lower: float
-    y_upper: float
-    y_pred: float
-
-    @property
-    def interval(self) -> tuple[float, float]:
-        lo = min(self.y_lower, self.y_upper)
-        hi = max(self.y_lower, self.y_upper)
-        return (lo, hi)
-
-    @property
-    def width(self) -> float:
-        lo, hi = self.interval
-        return hi - lo
-
-
-@dataclass
 class RuleBase:
     """Dense parameter store for an R-rule, F-feature system.
 
@@ -149,8 +128,9 @@ class RuleBase:
         if self.b.shape != (R,):
             raise ValueError(f"b shape mismatch: want ({R},)")
         arrays = (self.c1, self.c2, self.sigma, self.w, self.b)
-        if not all(np.all(np.isfinite(a)) for a in arrays):
-            raise ValueError("rule base contains non-finite parameters")
+        if not all(np.all(np.abs(a) <= PARAM_LIMIT) for a in arrays):
+            raise ValueError(f"rule base parameters must be finite and at "
+                             f"most {PARAM_LIMIT:g} in magnitude")
         if not 0.0 <= self.q <= 1.0:
             raise ValueError(f"q must lie in [0, 1], got {self.q}")
         if np.any(self.c1 > self.c2):
@@ -232,32 +212,24 @@ def forward(rb: RuleBase, X: np.ndarray, mu=None) -> Reduced:
     return type_reduce(mu_l, mu_u, X @ rb.w.T + rb.b, rb.q)
 
 
+def chunk_rows(rb: RuleBase) -> int:
+    """Rows per inference chunk: a (rows, R, F) float64 array of that
+    many rows fits in ``PREDICT_CHUNK_BYTES``."""
+    return max(1, PREDICT_CHUNK_BYTES // (8 * rb.n_rules * rb.n_features))
+
+
 def predict_arrays(rb: RuleBase,
                    X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batch inference returning (y_lower, y_upper, y_pred) arrays.
 
-    The workhorse behind predict_one/predict_batch, validation and the
-    evaluation paths.  Rows are independent, so ``forward`` runs over
-    row chunks sized by ``PREDICT_CHUNK_BYTES``.
+    The one row-level inference API, behind ``predict``, ``evaluate``,
+    validation and the sweep metrics.  Rows are independent, so
+    ``forward`` runs over row chunks of ``chunk_rows`` rows.
     """
     X = _as_rows(rb, X)
-    rows = max(1, PREDICT_CHUNK_BYTES // (8 * rb.n_rules * rb.n_features))
+    rows = chunk_rows(rb)
     out = np.empty((3, X.shape[0]))
     for lo in range(0, X.shape[0], rows):
         red = forward(rb, X[lo:lo + rows])
         out[:, lo:lo + rows] = red.y_l, red.y_u, red.y_p
     return out[0], out[1], out[2]
-
-
-def predict_one(rb: RuleBase, x: np.ndarray) -> IntervalPrediction:
-    """Interval prediction for a single input vector."""
-    y_l, y_u, y_p = predict_arrays(rb, np.asarray(x, dtype=np.float64)
-                                   .reshape(1, -1))
-    return IntervalPrediction(float(y_l[0]), float(y_u[0]), float(y_p[0]))
-
-
-def predict_batch(rb: RuleBase, X: np.ndarray) -> list[IntervalPrediction]:
-    """Row-wise interval predictions (empty input gives an empty list)."""
-    y_l, y_u, y_p = predict_arrays(rb, X)
-    return [IntervalPrediction(float(a), float(b), float(c))
-            for a, b, c in zip(y_l, y_u, y_p)]

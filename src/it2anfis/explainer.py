@@ -3,8 +3,9 @@
 Feature level: the area enclosed between the upper and lower membership
 curves of each antecedent (a scalar footprint-of-uncertainty size).
 Rule level: per-rule aggregates of those areas plus a consequent-norm
-diagnostic.  Instance level: the prediction interval in original target
-units with the rules that drove it.
+diagnostic.  Instance level: for a batch of rows, the prediction
+intervals in original target units, equal bit for bit to
+``predict_arrays``'s, with the rules that drove each one.
 
 Also renders per-rule membership plots as standalone SVG documents and
 dumps the rule base as readable IF-THEN text.
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IntervalPrediction, IT2Antecedent, RuleBase, forward
+from .core import IT2Antecedent, RuleBase, _as_rows, chunk_rows, forward
 from .dataset import FeatureScaler, TargetScaler
 from .kernels import gaussian, membership_offsets
 
@@ -49,7 +50,9 @@ class UncertaintyReport:
 
     per_feature: list[FeatureUncertainty]
     per_rule: list[RuleUncertainty]
-    per_instance: list[tuple[int, IntervalPrediction]] | None = None
+    #: (y_lower, y_upper, y_pred) arrays in target units, one entry per
+    #: instance row; the endpoints need not be ordered
+    per_instance: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def as_dict(self) -> dict:
         doc: dict = {
@@ -57,11 +60,14 @@ class UncertaintyReport:
             "per_rule": [vars(r).copy() for r in self.per_rule],
         }
         if self.per_instance is not None:
+            y_l, y_u, y_p = self.per_instance
+            columns = (y_l, y_u, y_p, np.minimum(y_l, y_u),
+                       np.maximum(y_l, y_u))
             doc["per_instance"] = [
-                {"index": i, "y_lower": p.y_lower, "y_upper": p.y_upper,
-                 "y_pred": p.y_pred, "interval": list(p.interval),
-                 "width": p.width}
-                for i, p in self.per_instance]
+                {"index": i, "y_lower": lower, "y_upper": upper,
+                 "y_pred": pred, "interval": [lo, hi], "width": hi - lo}
+                for i, (lower, upper, pred, lo, hi)
+                in enumerate(zip(*(c.tolist() for c in columns)))]
         return doc
 
 
@@ -123,23 +129,28 @@ def explain_model(rb: RuleBase) -> UncertaintyReport:
     return UncertaintyReport(per_feature=per_feature, per_rule=per_rule)
 
 
-def explain_instance(rb: RuleBase, x: np.ndarray,
+def explain_instance(rb: RuleBase, X: np.ndarray,
                      target_scaler: TargetScaler):
-    """Interval prediction in original units plus rule attribution.
+    """Interval predictions in original units plus rule attribution.
 
-    Returns (IntervalPrediction in target units, top_rules), where
-    top_rules lists (rule_index, fbar_U, fbar_L) sorted by the mean of
-    the two normalized strengths, strongest first.
+    X is an (N, F) batch of rows.  Returns (y_lower, y_upper, y_pred,
+    ranking): three (N,) arrays in target units, and an (N, R) array
+    whose row n lists the rule indices by the mean of the two normalized
+    strengths of row n, strongest first, ties in index order.
+    ``forward`` runs once over each of ``predict_arrays``'s row chunks,
+    so the intervals equal its output bit for bit.
     """
-    red = forward(rb, np.asarray(x, dtype=np.float64).reshape(1, -1))
-    pred_units = IntervalPrediction(
-        y_lower=float(target_scaler.inverse(red.y_l[0])),
-        y_upper=float(target_scaler.inverse(red.y_u[0])),
-        y_pred=float(target_scaler.inverse(red.y_p[0])))
-    f_l, f_u = red.f_l[0], red.f_u[0]
-    order = np.argsort(-0.5 * (f_l + f_u), kind="stable")
-    top_rules = [(int(j), float(f_u[j]), float(f_l[j])) for j in order]
-    return pred_units, top_rules
+    X = _as_rows(rb, X)
+    rows = chunk_rows(rb)
+    y = np.empty((3, X.shape[0]))
+    ranking = np.empty((X.shape[0], rb.n_rules), dtype=np.intp)
+    for lo in range(0, X.shape[0], rows):
+        red = forward(rb, X[lo:lo + rows])
+        y[:, lo:lo + rows] = red.y_l, red.y_u, red.y_p
+        ranking[lo:lo + rows] = np.argsort(-0.5 * (red.f_l + red.f_u),
+                                           axis=1, kind="stable")
+    y_l, y_u, y_p = target_scaler.inverse(y)
+    return y_l, y_u, y_p, ranking
 
 
 def _fmt(value: float) -> str:

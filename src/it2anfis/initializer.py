@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Mode, RuleBase
+from .core import SIGMA_MIN, Mode, RuleBase
 
 ALPHA_DEFAULT = 0.2
 
@@ -25,35 +25,28 @@ class InitConfig:
     """Knobs for building an initial rule base.
 
     alpha scales the width of the uncertain-mean interval relative to
-    the partition width; sigma_min floors the Gaussian spread.  With
-    lhs_permute=False strata are assigned to rules in index order on
-    every feature (diagonal placement) instead of being permuted.
+    the partition width.
     """
 
     n_rules: int
     alpha: float = ALPHA_DEFAULT
-    sigma_min: float = 0.05
     seed: int = 0
     mode: Mode = Mode.IT2
-    lhs_permute: bool = True
 
     def validate(self) -> None:
         if self.n_rules < 1:
             raise ValueError("n_rules must be >= 1")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if self.sigma_min <= 0.0:
-            raise ValueError("sigma_min must be positive")
 
 
-def lhs_centers(feature_ranges, R: int, seed: int,
-                permute: bool = True) -> np.ndarray:
+def lhs_centers(feature_ranges, R: int, seed: int) -> np.ndarray:
     """Stratified rule centers, one per stratum per feature.
 
     For feature f with range [lo, hi), stratum s covers
     [lo + s*w, lo + (s+1)*w) with w = (hi - lo)/R; rule j receives a
     uniformly random point of stratum perm[j], where perm is a seeded
-    per-feature permutation (identity when permute is False).
+    per-feature permutation.
 
     Returns an (R, F) matrix of centers.
     """
@@ -64,7 +57,7 @@ def lhs_centers(feature_ranges, R: int, seed: int,
         if not (hi > lo):
             raise ValueError(f"degenerate range for feature {f}: "
                              f"[{lo}, {hi}]")
-        strata = rng.permutation(R) if permute else np.arange(R)
+        strata = rng.permutation(R)
         offsets = rng.random(R)
         width = (hi - lo) / R
         centers[:, f] = lo + (strata + offsets) * width
@@ -90,15 +83,15 @@ def build_rulebase(cfg: InitConfig, feature_ranges) -> RuleBase:
 
     Antecedent intervals are centered on the LHS draws with half-width
     alpha * w_f / 2 (collapsed to a point in the type-1 modes); sigma is
-    half the partition width, floored at sigma_min.  Consequent slopes
-    and biases are drawn from a zero-mean normal with standard
-    deviation 0.01 (slopes pinned to zero in order-0 mode).
+    half the partition width, floored at ``core.SIGMA_MIN``, the floor
+    ``RuleBase.validate`` enforces.  Consequent slopes and biases are
+    drawn from a zero-mean normal with standard deviation 0.01 (slopes
+    pinned to zero in order-0 mode).
     """
     cfg.validate()
     R = cfg.n_rules
     F = len(feature_ranges)
-    centers = lhs_centers(feature_ranges, R, cfg.seed,
-                          permute=cfg.lhs_permute)
+    centers = lhs_centers(feature_ranges, R, cfg.seed)
 
     widths = np.array([partition_width(rng_f, R, F)
                        for rng_f in feature_ranges])
@@ -109,7 +102,7 @@ def build_rulebase(cfg: InitConfig, feature_ranges) -> RuleBase:
         half = 0.5 * cfg.alpha * widths
         c1 = centers - half
         c2 = centers + half
-    sigma = np.broadcast_to(np.maximum(0.5 * widths, cfg.sigma_min),
+    sigma = np.broadcast_to(np.maximum(0.5 * widths, SIGMA_MIN),
                             (R, F)).copy()
 
     # consequent draws come after the center draws so both reuse one

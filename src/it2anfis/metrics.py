@@ -46,22 +46,3 @@ def evaluate(y_true: np.ndarray, y_pred: np.ndarray) -> MetricSet:
         defined = True
     return MetricSet(mse=mse, rmse=math.sqrt(mse), mae=mae, mape=mape,
                      mape_defined=defined)
-
-
-def mean_metrics(sets: list[MetricSet]) -> MetricSet:
-    """Mean of per-run metrics (each metric averaged independently).
-
-    The averaged RMSE is the mean of per-run RMSEs, which in general
-    differs from the root of the averaged MSE.  MAPE averages over the
-    runs where it was defined; it is NaN when no run defines it.
-    """
-    if not sets:
-        raise ValueError("need at least one MetricSet")
-    mapes = [m.mape for m in sets if m.mape_defined]
-    return MetricSet(
-        mse=float(np.mean([m.mse for m in sets])),
-        rmse=float(np.mean([m.rmse for m in sets])),
-        mae=float(np.mean([m.mae for m in sets])),
-        mape=float(np.mean(mapes)) if mapes else math.nan,
-        mape_defined=bool(mapes),
-    )

@@ -20,9 +20,10 @@ import numpy as np
 import pytest
 
 from it2anfis.core import (IT2Antecedent, Mode, RuleBase, membership_bounds,
-                           predict_arrays, predict_batch)
+                           predict_arrays)
 from it2anfis.dataset import (RawTable, SyntheticSpec, generate_synthetic,
                               load_csv, normalize_and_split)
+from it2anfis.explainer import explain_instance
 from it2anfis.initializer import InitConfig, build_rulebase, lhs_centers
 from it2anfis.sweep import SweepConfig, aggregate, sweep
 from it2anfis.trainer import (TrainConfig, antecedent_gradients,
@@ -155,7 +156,9 @@ def test_criterion_03_type1_collapse():
             reference = y_p
         elif not np.array_equal(reference, y_p):
             q_independent = False
-    if any(p.width != 0.0 for p in predict_batch(rb, X)):
+    # the instance level, in target units, reports the same zero width
+    y_l, y_u, _, _ = explain_instance(rb, X, TargetScaler("y", 260.0, 40.0))
+    if np.any(np.abs(y_u - y_l) != 0.0):
         widths_zero = False
 
     _record(3, summary, widths_zero and q_independent,

@@ -11,8 +11,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from it2anfis.core import Mode, RuleBase, predict_arrays, predict_batch
+from it2anfis.core import Mode, RuleBase, predict_arrays
 from it2anfis.dataset import Dataset, FeatureScaler, TargetScaler
+from it2anfis.explainer import explain_instance
 from it2anfis.initializer import InitConfig, build_rulebase
 from it2anfis.trainer import TrainConfig, train
 
@@ -52,8 +53,10 @@ class TestZeroWidth:
         y_l, y_u, y_p = predict_arrays(rb, X)
         np.testing.assert_array_equal(y_l, y_u)
         np.testing.assert_array_equal(y_p, y_l)
-        for pred in predict_batch(rb, X):
-            assert pred.width == 0.0
+        # the instance level, in target units, reports the same zero width
+        y_l, y_u, _, _ = explain_instance(rb, X, TargetScaler("y", 260.0,
+                                                              40.0))
+        assert np.all(np.abs(y_u - y_l) == 0.0)
 
     def test_q_never_enters_collapsed_inference(self, rng):
         X = rng.uniform(-0.5, 1.5, (25, 2))

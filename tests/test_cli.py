@@ -6,12 +6,14 @@ import contextlib
 import csv
 import io
 import json
+import math
 import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+from it2anfis import core
 from it2anfis.cli import PREDICTION_COLUMNS, main
 from it2anfis.dataset import load_csv, normalize_and_split
 
@@ -217,6 +219,58 @@ class TestExplainCommand:
               "--out", str(out)])
         doc = json.loads(out.read_text())
         assert all(e["fou_area"] == 0.0 for e in doc["per_feature"])
+
+
+class TestExplainMatchesPredict:
+    """``explain --data`` and ``predict`` give the same instance intervals."""
+
+    @pytest.fixture(scope="class")
+    def served(self, tmp_path_factory):
+        # on this table a 1-row forward per instance moved two rows'
+        # intervals by one ulp away from predict's chunked pass
+        root = tmp_path_factory.mktemp("agree")
+        data, model = root / "data.csv", root / "model.json"
+        assert _run(["synth", "--out", str(data), "--seed", "3",
+                     "--synth-samples", "600", "--synth-features",
+                     "5"])[0] == 0
+        assert _run(["train", "--data", str(data), "--rules", "7",
+                     "--seed", "3", "--max-epochs", "8",
+                     "--out", str(model)])[0] == 0
+        return root, data, model
+
+    def test_bit_identical_on_every_row(self, served):
+        root, data, model = served
+        preds, report = root / "preds.csv", root / "report.json"
+        assert _run(["predict", "--model", str(model), "--data", str(data),
+                     "--out", str(preds)])[0] == 0
+        assert _run(["explain", "--model", str(model), "--data", str(data),
+                     "--out", str(report)])[0] == 0
+        rows = _read_predictions(preds)
+        inst = json.loads(report.read_text())["per_instance"]
+        assert len(inst) == len(rows) == 600
+        for n, (row, entry) in enumerate(zip(rows, inst)):
+            assert entry["index"] == int(row["index"]) == n
+            assert [entry["y_pred"], *entry["interval"], entry["width"]] \
+                == [float(row[c]) for c in PREDICTION_COLUMNS[1:]]
+
+    def test_fires_once_per_chunk(self, served, monkeypatch):
+        root, data, model = served
+        # 7 rules x 5 features: 64 rows per chunk, 10 chunks of 600 rows
+        monkeypatch.setattr(core, "PREDICT_CHUNK_BYTES", 64 * 8 * 7 * 5)
+        calls = []
+        fire = core._fire_batch
+
+        def counting(X, *params):
+            calls.append(X.shape[0])
+            return fire(X, *params)
+
+        monkeypatch.setattr(core, "_fire_batch", counting)
+        report = root / "report_chunks.json"
+        assert _run(["explain", "--model", str(model), "--data", str(data),
+                     "--out", str(report)])[0] == 0
+        assert len(calls) <= math.ceil(600 / 64)
+        assert sum(calls) == 600
+        assert len(json.loads(report.read_text())["per_instance"]) == 600
 
 
 class TestEvaluateCommand:

@@ -10,9 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from it2anfis import core, kernels
-from it2anfis.core import (IntervalPrediction, IT2Antecedent, Mode, RuleBase,
-                           forward, membership_bounds, predict_arrays,
-                           predict_batch, predict_one)
+from it2anfis.core import (IT2Antecedent, Mode, RuleBase, forward,
+                           membership_bounds, predict_arrays)
 
 from conftest import random_rulebase, ref_membership, ref_predict
 
@@ -130,29 +129,27 @@ class TestFire:
             forward(rb, np.zeros((1, 2)))
 
 
-class TestPredict:
-    def test_midpoint_blend(self):
-        p = IntervalPrediction(y_lower=100.0, y_upper=120.0, y_pred=110.0)
-        assert p.interval == (100.0, 120.0)
-        assert p.width == 20.0
+def predict_row(rb: RuleBase, x: np.ndarray) -> tuple[float, float, float]:
+    """(y_lower, y_upper, y_pred) of one input vector."""
+    return tuple(float(v[0]) for v in predict_arrays(rb, x.reshape(1, -1)))
 
+
+class TestPredict:
     def test_crossed_interval_example(self):
         rb = RuleBase(c1=np.array([[1.0], [0.4]]),
                       c2=np.array([[1.6], [0.71715729]]),
                       sigma=np.full((2, 1), 0.1),
                       w=np.array([[1.0], [2.0]]), b=np.zeros(2))
-        p = predict_one(rb, np.array([1.0]))
-        assert p.y_lower == pytest.approx(1.5, abs=1e-9)
-        assert p.y_upper == pytest.approx(1.0179862, abs=1e-6)
-        # crossed bounds: the reported interval is still ordered
-        assert p.interval[0] <= p.y_pred <= p.interval[1]
-        assert p.interval == (p.y_upper, p.y_lower)
+        y_l, y_u, y_p = predict_row(rb, np.array([1.0]))
+        assert y_l == pytest.approx(1.5, abs=1e-9)
+        assert y_u == pytest.approx(1.0179862, abs=1e-6)
+        # crossed bounds: the blend still lies between the endpoints
+        assert y_u < y_p < y_l
 
     def test_collapsed_width_zero(self, rng):
         rb = random_rulebase(rng, 3, 2, mode=Mode.TYPE1_ORDER1)
-        p = predict_one(rb, rng.random(2))
-        assert p.y_lower == p.y_upper == p.y_pred
-        assert p.width == 0.0
+        y_l, y_u, y_p = predict_row(rb, rng.random(2))
+        assert y_l == y_u == y_p
 
     def test_batch_matches_per_row(self, rng):
         # rows far from every rule take the uniform fallback mid-batch;
@@ -168,19 +165,18 @@ class TestPredict:
             X[far] = np.resize([80.0, -75.0, 60.0], F)
             assert (kernels.fire(X[far], rb.c1, rb.c2, rb.sigma)[0]
                     .sum(axis=1) < kernels.STRENGTH_FLOOR).all()
-            batch = predict_batch(rb, X)
+            batch = np.stack(predict_arrays(rb, X), axis=1)
             for n, pred in enumerate(batch):
-                one = predict_one(rb, X[n])
-                assert abs(pred.y_pred - one.y_pred) < 1e-12
-                assert abs(pred.y_lower - one.y_lower) < 1e-12
-                assert abs(pred.y_upper - one.y_upper) < 1e-12
+                np.testing.assert_allclose(pred, predict_row(rb, X[n]),
+                                           rtol=0.0, atol=1e-12)
 
     def test_batch_empty_and_duplicate_rows(self, rng):
         rb = random_rulebase(rng, 3, 2)
-        assert predict_batch(rb, np.empty((0, 2))) == []
+        for out in predict_arrays(rb, np.empty((0, 2))):
+            assert out.shape == (0,)
         x = rng.random(2)
-        two = predict_batch(rb, np.stack([x, x]))
-        assert two[0] == two[1]
+        two = np.stack(predict_arrays(rb, np.stack([x, x])), axis=1)
+        np.testing.assert_array_equal(two[0], two[1])
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -189,19 +185,17 @@ class TestPredict:
         rb = random_rulebase(rng, int(rng.integers(1, 6)),
                              int(rng.integers(1, 4)))
         x = rng.uniform(-1.0, 2.0, rb.n_features)
-        got = predict_one(rb, x)
+        got = predict_row(rb, x)
         want = ref_predict(rb.c1.tolist(), rb.c2.tolist(),
                            rb.sigma.tolist(), rb.w.tolist(),
                            rb.b.tolist(), rb.q, x.tolist())
-        assert got.y_lower == pytest.approx(want[0], rel=1e-12, abs=1e-12)
-        assert got.y_upper == pytest.approx(want[1], rel=1e-12, abs=1e-12)
-        assert got.y_pred == pytest.approx(want[2], rel=1e-12, abs=1e-12)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_type_reduction_identity(self, rng):
         for q in (0.0, 0.3, 0.5, 1.0):
             rb = random_rulebase(rng, 3, 2, mode=Mode.TYPE1_ORDER1, q=q)
-            p = predict_one(rb, rng.random(2))
-            assert p.y_pred == p.y_lower == p.y_upper
+            y_l, y_u, y_p = predict_row(rb, rng.random(2))
+            assert y_p == y_l == y_u
 
     def test_q_affine_with_slope_ylower_minus_yupper(self, rng):
         rb = random_rulebase(rng, 4, 2)
@@ -209,13 +203,12 @@ class TestPredict:
         preds = {}
         for q in (0.0, 0.5, 1.0):
             rb.q = q
-            preds[q] = predict_one(rb, x)
+            preds[q] = predict_row(rb, x)
         p0, p05, p1 = preds[0.0], preds[0.5], preds[1.0]
-        assert p0.y_pred == p0.y_upper
-        assert p1.y_pred == p1.y_lower
-        slope = p1.y_lower - p1.y_upper
-        assert p05.y_pred - p0.y_pred == pytest.approx(0.5 * slope,
-                                                       rel=1e-12)
+        assert p0[2] == p0[1]
+        assert p1[2] == p1[0]
+        slope = p1[0] - p1[1]
+        assert p05[2] - p0[2] == pytest.approx(0.5 * slope, rel=1e-12)
 
     def test_blend_exact_on_equal_bounds(self):
         # q*v + (1-q)*v rounds away from v = 0.1 + 0.2 at q = 0.1
@@ -238,6 +231,13 @@ class TestRuleBaseValidation:
         rb.sigma[1, 1] = 0.01
         with pytest.raises(ValueError, match="sigma"):
             rb.validate()
+
+    def test_rejects_non_finite_or_huge_parameters(self, rng):
+        for value in (math.inf, math.nan, 1.3e308):
+            rb = random_rulebase(rng, 2, 2)
+            rb.b[1] = value
+            with pytest.raises(ValueError, match="finite"):
+                rb.validate()
 
     def test_rejects_q_outside_unit_interval(self, rng):
         rb = random_rulebase(rng, 2, 2)

@@ -10,10 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from it2anfis.core import IT2Antecedent, Mode, predict_one
-from it2anfis.dataset import TargetScaler
-from it2anfis.explainer import (explain_instance, explain_model,
-                                export_rules_text, fou_area, render_rule_svg)
+from it2anfis import core, kernels
+from it2anfis.core import (IT2Antecedent, Mode, RuleBase, forward,
+                           predict_arrays)
+from it2anfis.dataset import TargetScaler, inverse_target
+from it2anfis.explainer import (UncertaintyReport, explain_instance,
+                                explain_model, export_rules_text, fou_area,
+                                render_rule_svg)
 
 from conftest import random_rulebase, ref_membership
 
@@ -159,36 +162,99 @@ class TestExplainInstance:
     def test_single_rule_attribution(self, rng, toy_scalers):
         _, target = toy_scalers
         rb = random_rulebase(rng, 1, 2)
-        pred_units, top = explain_instance(rb, np.array([0.4, 0.6]), target)
-        assert top == [(0, 1.0, 1.0)]
-        raw = predict_one(rb, np.array([0.4, 0.6]))
-        assert pred_units.y_pred == pytest.approx(
-            raw.y_pred * target.std + target.mean, rel=1e-12)
+        X = np.array([[0.4, 0.6]])
+        _, _, y_p, ranking = explain_instance(rb, X, target)
+        np.testing.assert_array_equal(ranking, [[0]])
+        raw = predict_arrays(rb, X)[2]
+        assert y_p[0] == pytest.approx(raw[0] * target.std + target.mean,
+                                       rel=1e-12)
 
     def test_width_scales_by_target_std(self, rng, toy_scalers):
         _, target = toy_scalers
         rb = random_rulebase(rng, 4, 2)
-        x = np.array([0.3, 0.7])
-        pred_units, _ = explain_instance(rb, x, target)
-        raw = predict_one(rb, x)
-        assert pred_units.width == pytest.approx(target.std * raw.width,
-                                                 rel=1e-9, abs=1e-12)
+        X = np.array([[0.3, 0.7]])
+        y_l, y_u, _, _ = explain_instance(rb, X, target)
+        raw_l, raw_u, _ = predict_arrays(rb, X)
+        assert abs(y_u[0] - y_l[0]) == pytest.approx(
+            target.std * abs(raw_u[0] - raw_l[0]), rel=1e-9, abs=1e-12)
 
     def test_rules_sorted_by_mean_strength(self, rng, toy_scalers):
         _, target = toy_scalers
         rb = random_rulebase(rng, 5, 2)
-        _, top = explain_instance(rb, np.array([0.5, 0.5]), target)
-        assert sorted(j for j, _, _ in top) == list(range(5))
-        scores = [0.5 * (fu + fl) for _, fu, fl in top]
-        assert scores == sorted(scores, reverse=True)
+        X = rng.random((6, 2))
+        ranking = explain_instance(rb, X, target)[3]
+        red = forward(rb, X)
+        for n, order in enumerate(ranking):
+            assert sorted(order) == list(range(5))
+            scores = 0.5 * (red.f_u[n] + red.f_l[n])[order]
+            assert list(scores) == sorted(scores, reverse=True)
+
+    def test_fallback_rows_rank_rules_in_index_order(self, rng,
+                                                     toy_scalers):
+        # the uniform fallback ties every rule; the ranking is stable
+        _, target = toy_scalers
+        rb = random_rulebase(rng, 5, 2)
+        ranking = explain_instance(rb, np.array([[80.0, -75.0]]), target)[3]
+        np.testing.assert_array_equal(ranking, [np.arange(5)])
 
     def test_collapsed_instance_interval_is_degenerate(self, rng,
                                                        toy_scalers):
         _, target = toy_scalers
         rb = random_rulebase(rng, 3, 2, mode=Mode.TYPE1_ORDER0)
-        pred_units, _ = explain_instance(rb, np.array([0.2, 0.9]), target)
-        assert pred_units.width == 0.0
-        assert pred_units.y_lower == pred_units.y_pred == pred_units.y_upper
+        y_l, y_u, y_p, _ = explain_instance(rb, np.array([[0.2, 0.9]]),
+                                            target)
+        assert y_l[0] == y_p[0] == y_u[0]
+
+    def test_equals_predict_arrays_across_chunks(self, rng, toy_scalers):
+        # 2.5 chunks at R=50, F=13, with fallback rows on both sides of
+        # the first chunk boundary and opening the third chunk
+        _, target = toy_scalers
+        rb = random_rulebase(rng, 50, 13)
+        rows = core.chunk_rows(rb)
+        X = rng.uniform(0.0, 1.0, (int(2.5 * rows), 13))
+        far = [rows - 1, rows, 2 * rows]
+        X[far] = np.resize([80.0, -75.0, 60.0], 13)
+        assert (kernels.fire(X[far], rb.c1, rb.c2, rb.sigma)[0]
+                .sum(axis=1) < kernels.STRENGTH_FLOOR).all()
+        got = explain_instance(rb, X, target)
+        for mine, theirs in zip(got[:3], predict_arrays(rb, X)):
+            np.testing.assert_array_equal(mine,
+                                          inverse_target(theirs, target))
+        assert got[3].shape == (X.shape[0], 50)
+
+    def test_empty_and_duplicate_rows(self, rng, toy_scalers):
+        _, target = toy_scalers
+        rb = random_rulebase(rng, 3, 2)
+        y_l, y_u, y_p, ranking = explain_instance(rb, np.empty((0, 2)),
+                                                  target)
+        assert y_l.shape == y_u.shape == y_p.shape == (0,)
+        assert ranking.shape == (0, 3)
+        x = rng.random(2)
+        for out in explain_instance(rb, np.stack([x, x]), target):
+            np.testing.assert_array_equal(out[0], out[1])
+
+    def test_arity_names_the_whole_input(self, rng, toy_scalers):
+        _, target = toy_scalers
+        rb = random_rulebase(rng, 2, 3)
+        n = core.chunk_rows(rb) + 5
+        with pytest.raises(ValueError, match=rf"\(N, 3\), got shape "
+                                             rf"\({n}, 2\)"):
+            explain_instance(rb, np.zeros((n, 2)), target)
+
+    def test_report_orders_crossed_interval(self, toy_scalers):
+        _, target = toy_scalers
+        rb = RuleBase(c1=np.array([[1.0], [0.4]]),
+                      c2=np.array([[1.6], [0.71715729]]),
+                      sigma=np.full((2, 1), 0.1),
+                      w=np.array([[1.0], [2.0]]), b=np.zeros(2))
+        y_l, y_u, y_p, _ = explain_instance(rb, np.array([[1.0]]), target)
+        assert y_u[0] < y_p[0] < y_l[0]
+        report = UncertaintyReport(per_feature=[], per_rule=[],
+                                   per_instance=(y_l, y_u, y_p))
+        (entry,) = report.as_dict()["per_instance"]
+        assert entry == {"index": 0, "y_lower": y_l[0], "y_upper": y_u[0],
+                         "y_pred": y_p[0], "interval": [y_u[0], y_l[0]],
+                         "width": y_l[0] - y_u[0]}
 
 
 class TestExportRulesText:

@@ -46,12 +46,6 @@ class TestLhsCenters:
         with pytest.raises(ValueError, match="degenerate"):
             lhs_centers([(0.5, 0.5)], 3, seed=0)
 
-    def test_diagonal_mode_orders_strata_by_rule(self):
-        centers = lhs_centers([(0.0, 1.0)] * 3, 5, seed=1, permute=False)
-        for f in range(3):
-            strata = [_stratum_of(c, 0.0, 1.0, 5) for c in centers[:, f]]
-            assert strata == [0, 1, 2, 3, 4]
-
     def test_permutation_differs_across_features(self):
         # with 8 rules and 6 features, identical permutations everywhere
         # would mean the permuting rng had no effect

@@ -1,4 +1,4 @@
-"""Error metrics: frozen examples, invariants, aggregation semantics."""
+"""Error metrics: frozen examples and invariants."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from it2anfis.metrics import MetricSet, evaluate, mean_metrics
+from it2anfis.metrics import evaluate
 
 finite_floats = st.floats(-1e6, 1e6, allow_nan=False)
 # truths stay clear of the subnormal range where |e|/|y| overflows
@@ -73,39 +73,3 @@ class TestEvaluate:
         m = evaluate(np.array([1.0]), np.array([2.0]))
         assert m.as_dict() == {"mse": 1.0, "rmse": 1.0,
                                "mae": 1.0, "mape": 100.0}
-
-
-class TestMeanMetrics:
-    def test_each_metric_averaged_independently(self):
-        a = evaluate(np.array([10.0, 10.0]), np.array([13.0, 7.0]))
-        b = evaluate(np.array([10.0, 10.0]), np.array([11.0, 9.0]))
-        mean = mean_metrics([a, b])
-        assert mean.mse == pytest.approx((9.0 + 1.0) / 2)
-        assert mean.rmse == pytest.approx((3.0 + 1.0) / 2)
-        # the aggregate RMSE is not re-derived from the aggregate MSE
-        assert mean.rmse != pytest.approx(math.sqrt(mean.mse))
-        assert mean.mae == pytest.approx(2.0)
-        assert mean.mape == pytest.approx((30.0 + 10.0) / 2)
-
-    def test_mape_averages_only_defined_runs(self):
-        defined = evaluate(np.array([10.0]), np.array([12.0]))
-        undefined = evaluate(np.array([0.0]), np.array([1.0]))
-        mean = mean_metrics([defined, undefined])
-        assert mean.mape == pytest.approx(20.0)
-        assert mean.mape_defined
-
-    def test_all_undefined_stays_nan(self):
-        u = evaluate(np.array([0.0]), np.array([1.0]))
-        mean = mean_metrics([u, u])
-        assert math.isnan(mean.mape)
-        assert not mean.mape_defined
-
-    def test_single_set_is_identity(self):
-        m = evaluate(np.array([5.0, 6.0]), np.array([4.0, 8.0]))
-        mean = mean_metrics([m])
-        assert mean == MetricSet(mse=m.mse, rmse=m.rmse, mae=m.mae,
-                                 mape=m.mape, mape_defined=True)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            mean_metrics([])

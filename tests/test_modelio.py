@@ -216,6 +216,15 @@ class TestSchemaValidation:
         with pytest.raises(ValueError, match="c1 <= c2"):
             load_model(path)
 
+    def test_huge_parameter_rejected(self, tmp_path, rng, toy_scalers):
+        # finite, but X @ w.T overflows for inputs near [0, 1]
+        def huge_slope(doc):
+            doc["rules"][0]["w"][0] = 1.3120460497613255e308
+
+        path = _corrupt(tmp_path, rng, toy_scalers, huge_slope)
+        with pytest.raises(ModelFormatError, match="magnitude"):
+            load_model(path)
+
     def test_save_rejects_scaler_arity_mismatch(self, tmp_path, rng,
                                                 toy_scalers):
         features, target = toy_scalers
