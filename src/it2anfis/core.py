@@ -29,6 +29,7 @@ import numpy as np
 from .kernels import Reduced, fire as _fire_batch, type_reduce
 
 SIGMA_MIN = 0.05
+#: narrowest interval c2 - c1 that training's constraint repair leaves
 MIN_SEPARATION = 0.05
 #: largest parameter magnitude a rule base may hold: below it the squared
 #: offsets and the affine consequents of inputs near [0, 1] stay finite
@@ -73,14 +74,6 @@ class IT2Antecedent:
     c1: float
     c2: float
     sigma: float
-
-    def validate(self) -> None:
-        if not (math.isfinite(self.c1) and math.isfinite(self.c2)):
-            raise ValueError("antecedent bounds must be finite")
-        if self.c1 > self.c2:
-            raise ValueError(f"c1 ={self.c1} exceeds c2 ={self.c2}")
-        if not (math.isfinite(self.sigma) and self.sigma >= SIGMA_MIN):
-            raise ValueError(f"sigma must be >= {SIGMA_MIN}, got {self.sigma}")
 
 
 @dataclass

@@ -204,8 +204,7 @@ def _svg_path(xs: np.ndarray, ys: np.ndarray, x0: float, y0: float,
 
 
 def render_rule_svg(rb: RuleBase, rule_index: int,
-                    feature_names: list[str],
-                    n_points: int = 200) -> str:
+                    feature_names: list[str]) -> str:
     """Standalone SVG showing each feature's membership bounds.
 
     One panel per feature: upper and lower curves with the enclosed
@@ -213,7 +212,7 @@ def render_rule_svg(rb: RuleBase, rule_index: int,
     """
     if not 0 <= rule_index < rb.n_rules:
         raise ValueError(f"rule_index out of range: {rule_index}")
-    panel_w, panel_h, pad = 300.0, 110.0, 34.0
+    panel_w, panel_h, pad, n_points = 300.0, 110.0, 34.0, 200
     total_w = panel_w + 2 * pad
     total_h = (panel_h + pad) * rb.n_features + pad
     parts = [

@@ -16,17 +16,17 @@ block of rules at a time, so every numpy inner loop runs over the N rows
 rather than the F features, a block's temporaries stay within
 ``RULE_BLOCK_BYTES``, and no kernel picks between a and b with a
 data-dependent ``np.where``.  A rule's firing strength is a product of
-Gaussians, so ``memberships`` takes it in log space from the offsets'
-sizes alone, |d_l| = max(a, -b) and |d_u| = -min(a, -b, 0), squared and
-summed over features in feature order with one ``exp`` per (row, rule).
+Gaussians, so ``fire`` takes it in log space from the offsets' sizes
+alone, |d_l| = max(a, -b) and |d_u| = -min(a, -b, 0), squared and summed
+over features in feature order with one ``exp`` per (row, rule).
 These equal ``membership_offsets``'s d_l and d_u in size bit for bit,
 except that at a midpoint tie |d_l| may take the other of two offsets
 that differ by an ulp.  ``ant_grads_from`` reuses the strengths through
 d/dc prod_f g_f = (prod_f g_f) * d_f / sigma_f**2 on the active branch,
 so no leave-one-out product is needed, and takes the offsets afresh:
 that costs less than holding two (R, F, N) arrays.  The trainer keeps
-one ``Memberships`` of its training split per antecedent state;
-``fire`` and ``ant_grads`` compute a fresh one per call.
+the (mu_L, mu_U) of its training split for each antecedent state;
+``ant_grads`` fires afresh per call.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 STRENGTH_FLOOR = 1e-12
 
 #: bytes of one (rules, F, N) float64 temporary per rule block of
-#: ``memberships`` and ``ant_grads_from``, so that a block's half-dozen
+#: ``fire`` and ``ant_grads_from``, so that a block's half-dozen
 #: temporaries stay in a 2 MiB L2 cache; at F = 13 a block is one rule
 #: from N = 1261 rows up (a block never holds less than one rule)
 RULE_BLOCK_BYTES = 2**18
@@ -67,16 +67,6 @@ def gaussian(d, sigma):
     """Gaussian membership exp(-(d / sigma)**2 / 2) of an offset d."""
     z = d / sigma
     return np.exp(-0.5 * z * z)
-
-
-class Memberships(NamedTuple):
-    """Every input's raw firing strengths, for one antecedent state.
-
-    mu_l, mu_u are the C-contiguous (N, R) lower and upper strengths.
-    """
-
-    mu_l: np.ndarray
-    mu_u: np.ndarray
 
 
 def _columns(X):
@@ -107,16 +97,17 @@ def _offset_blocks(XT, c1, c2, step):
         yield rules, a, nb
 
 
-def memberships(X, c1, c2, sigma):
-    """Raw firing strengths of a batch.
+def fire(X, c1, c2, sigma):
+    """Raw lower/upper firing strengths (mu_L, mu_U) of a batch.
 
     X is (N, F); c1, c2, sigma are (R, F), with c1 <= c2 as
-    ``RuleBase.validate`` requires.  A strength is the per-rule
-    product over features of the Gaussian membership bounds, taken as
-    exp(-0.5 * sum_f (d / sigma)**2).  Once half the sum passes about
-    745 it is exactly 0, as the product would be: one factor that
-    underflows alone is enough.  Each row's strengths depend on that
-    row alone, bit for bit, whatever else shares the batch.
+    ``RuleBase.validate`` requires; mu_L and mu_U are C-contiguous
+    (N, R).  A strength is the per-rule product over features of the
+    Gaussian membership bounds, taken as exp(-0.5 * sum_f (d / sigma)**2).
+    Once half the sum passes about 745 it is exactly 0, as the product
+    would be: one factor that underflows alone is enough.  Each row's
+    strengths depend on that row alone, bit for bit, whatever else
+    shares the batch.
     """
     XT = _columns(X)
     (F, N), R = XT.shape, c1.shape[0]
@@ -141,13 +132,7 @@ def memberships(X, c1, c2, sigma):
             z_r += d_r[:, :, f]
     np.exp(z, out=z)
     mu = z.transpose(0, 2, 1).copy()
-    return Memberships(mu[0], mu[1])
-
-
-def fire(X, c1, c2, sigma):
-    """Raw lower/upper firing strengths (mu_L, mu_U), each (N, R)."""
-    mem = memberships(X, c1, c2, sigma)
-    return mem.mu_l, mem.mu_u
+    return mu[0], mu[1]
 
 
 class Reduced(NamedTuple):
@@ -195,15 +180,15 @@ def type_reduce(mu_l, mu_u, yr, q, floor=STRENGTH_FLOOR):
 def ant_grads(X, y, c1, c2, sigma, w, b, q, floor=STRENGTH_FLOOR):
     """Gradients of the half mean-squared error w.r.t. c1 and c2.
 
-    Evaluates the memberships of X and hands them to ``ant_grads_from``.
+    Fires X and hands the strengths to ``ant_grads_from``.
     Returns (d_c1, d_c2), each (R, F).
     """
-    return ant_grads_from(memberships(X, c1, c2, sigma), X, y, c1, c2,
-                          sigma, w, b, q, floor)
+    return ant_grads_from(fire(X, c1, c2, sigma), X, y, c1, c2, sigma, w,
+                          b, q, floor)
 
 
-def ant_grads_from(mem, X, y, c1, c2, sigma, w, b, q, floor=STRENGTH_FLOOR):
-    """``ant_grads`` at the memberships ``mem`` of X under (c1, c2, sigma).
+def ant_grads_from(mu, X, y, c1, c2, sigma, w, b, q, floor=STRENGTH_FLOOR):
+    """``ant_grads`` at the strengths ``mu`` = (mu_L, mu_U) of X.
 
     Differentiates the full inference chain (membership bounds, product
     t-norm, normalization, interval outputs, q blend) analytically.
@@ -219,7 +204,7 @@ def ant_grads_from(mem, X, y, c1, c2, sigma, w, b, q, floor=STRENGTH_FLOOR):
     derivative is used.  Returns (d_c1, d_c2), each (R, F).
     """
     N = X.shape[0]
-    mu_l, mu_u = mem
+    mu_l, mu_u = mu
     yr = X @ w.T + b
     red = type_reduce(mu_l, mu_u, yr, q, floor)
     e = red.y_p - y

@@ -144,9 +144,10 @@ def _run_cell(args) -> RunResult:
 def sweep(raw: RawTable, cfg: SweepConfig,
           train_cfg: TrainConfig | None = None) -> list[RunResult]:
     """Execute the full grid, rows sorted by (mode, rules, seed)."""
-    cfg.validate()
     if train_cfg is None:
         train_cfg = TrainConfig()
+    cfg.validate()
+    train_cfg.validate()
     cells = [(raw, mode, rules, seed_index, cfg, train_cfg)
              for mode in cfg.modes
              for rules in cfg.rule_counts
@@ -207,15 +208,14 @@ def summary_dict(results: list[RunResult]) -> dict:
 _MODE_COLORS = {"it2": "#225588", "anfis1": "#bb5522", "anfis0": "#559944"}
 
 
-def render_sweep_svg(aggregates: list[AggregateRow],
-                     width: float = 640.0, height: float = 400.0) -> str:
+def render_sweep_svg(aggregates: list[AggregateRow]) -> str:
     """Line chart of mean test MSE vs rule count with min-max bands."""
     rows = [a for a in aggregates if a.n_ok > 0]
     if not rows:
         return ('<svg xmlns="http://www.w3.org/2000/svg" width="200" '
                 'height="40"><text x="10" y="25" font-size="12">no '
                 'successful runs</text></svg>')
-    pad = 50.0
+    width, height, pad = 640.0, 400.0, 50.0
     xs = sorted({a.rules for a in rows})
     x_lo, x_hi = min(xs), max(xs)
     y_lo = min(a.min_test_mse for a in rows)

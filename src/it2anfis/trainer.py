@@ -7,29 +7,43 @@ clipping.  Both learning rates adapt to the epoch-over-epoch change in
 training error.  The best-validation snapshot is kept and restored, and
 training stops early when validation stalls.
 
-Only the antecedent update moves the memberships, so ``train`` evaluates
-the training split's memberships (``kernels.Memberships``) once before
-the loop and once after each antecedent update.  The mini-batch
-consequent steps, the antecedent gradient, the q update and the train
-error all read that one evaluation; each gradient function still
-computes its own when called without it.
+The schedule is fixed: rates grow by ``LR_UP`` on improvement, decay by
+``LR_DOWN_CONS`` / ``LR_DOWN_ANT`` otherwise, and stay within
+``ETA_CONS_BOUNDS`` / ``ETA_ANT_BOUNDS``; antecedent gradients are
+clipped to [-``GRAD_CLIP``, ``GRAD_CLIP``], and repair keeps every
+interval at least ``core.MIN_SEPARATION`` wide.
+
+Only the antecedent update moves the memberships, so ``train`` fires
+the training split (``kernels.fire``) once before the loop and once
+after each antecedent update.  The mini-batch consequent steps, the
+antecedent gradient, the q update and the train error all read that
+one (mu_L, mu_U) pair; each gradient function still fires its own
+when called without it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import kernels
-from .core import Mode, RuleBase, forward, predict_arrays
+from .core import MIN_SEPARATION, Mode, RuleBase, forward, predict_arrays
 from .dataset import Dataset
 
+#: clamps of the consequent and antecedent learning rates
 ETA_CONS_BOUNDS = (1e-5, 0.05)
 ETA_ANT_BOUNDS = (1e-6, 0.02)
+#: rate growth after an epoch that lowers the training error
+LR_UP = 1.05
+#: consequent and antecedent rate decay after one that does not
+LR_DOWN_CONS = 0.9
+LR_DOWN_ANT = 0.95
+#: per-element clip of the antecedent gradients
+GRAD_CLIP = 0.1
 
 
 class TrainingDiverged(RuntimeError):
@@ -40,25 +54,16 @@ class TrainingDiverged(RuntimeError):
 class TrainConfig:
     """Hyperparameters of the training loop.
 
-    Defaults reproduce the reference schedule: rate growth 1.05 on
-    improvement, consequent/antecedent decay 0.9/0.95 otherwise, rates
-    clamped to fixed bounds, gradients on the interval bounds clipped to
-    [-0.1, 0.1], and a minimum bound separation of 0.05.
+    The starting rates must lie within ``ETA_CONS_BOUNDS`` and
+    ``ETA_ANT_BOUNDS``, the clamps the schedule keeps them in.
     """
 
     max_epochs: int = 500
     batch_size: int = 64
     eta_cons: float = 0.01
     eta_ant: float = 0.001
-    eta_cons_bounds: tuple[float, float] = ETA_CONS_BOUNDS
-    eta_ant_bounds: tuple[float, float] = ETA_ANT_BOUNDS
-    lr_up: float = 1.05
-    lr_down_cons: float = 0.9
-    lr_down_ant: float = 0.95
     lambda_l1: float = 0.05
     lambda_l2: float = 0.001
-    grad_clip: float = 0.1
-    min_separation: float = 0.05
     patience: int = 50
     seed: int = 0
     learn_q: bool = False
@@ -67,16 +72,16 @@ class TrainConfig:
     def validate(self) -> None:
         if self.max_epochs < 1 or self.batch_size < 1 or self.patience < 1:
             raise ValueError("counts must be >= 1")
-        for name in ("eta_cons", "eta_ant", "lr_up", "lr_down_cons",
-                     "lr_down_ant", "grad_clip"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("eta_cons_bounds", "eta_ant_bounds"):
-            lo, hi = getattr(self, name)
-            if not 0 < lo <= hi:
-                raise ValueError(f"{name} must be ordered and positive")
-        if self.lambda_l1 < 0 or self.lambda_l2 < 0:
-            raise ValueError("regularization weights must be >= 0")
+        for name, (lo, hi) in (("eta_cons", ETA_CONS_BOUNDS),
+                               ("eta_ant", ETA_ANT_BOUNDS)):
+            # the negated test also rejects NaN
+            if not lo <= getattr(self, name) <= hi:
+                raise ValueError(f"{name} must lie in [{lo:g}, {hi:g}], "
+                                 f"got {getattr(self, name)}")
+        for name in ("lambda_l1", "lambda_l2"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, "
+                                 f"got {getattr(self, name)}")
 
 
 @dataclass
@@ -95,8 +100,6 @@ class TrainState:
 
     eta_cons: float
     eta_ant: float
-    eta_cons_bounds: tuple[float, float] = ETA_CONS_BOUNDS
-    eta_ant_bounds: tuple[float, float] = ETA_ANT_BOUNDS
     epoch: int = 0
     best_val_mse: float = math.inf
     best_snapshot: RuleBase | None = None
@@ -138,48 +141,46 @@ def apply_consequent_update(rb: RuleBase, d_w: np.ndarray, d_b: np.ndarray,
 
 def antecedent_gradients(rb: RuleBase, X_full: np.ndarray,
                          y_full: np.ndarray,
-                         mem=None) -> tuple[np.ndarray, np.ndarray]:
+                         mu=None) -> tuple[np.ndarray, np.ndarray]:
     """Exact full-split gradients of the half-MSE w.r.t. c1 and c2.
 
-    ``mem``, the ``kernels.Memberships`` of X_full under the current
-    antecedents, skips their evaluation.
+    ``mu``, the (mu_L, mu_U) raw strengths of X_full under the current
+    antecedents, skips the firing.
     """
     X_full = np.ascontiguousarray(X_full, dtype=np.float64)
     y_full = np.ascontiguousarray(y_full, dtype=np.float64)
-    if mem is None:
-        mem = kernels.memberships(X_full, rb.c1, rb.c2, rb.sigma)
-    return kernels.ant_grads_from(mem, X_full, y_full, rb.c1, rb.c2,
+    if mu is None:
+        mu = kernels.fire(X_full, rb.c1, rb.c2, rb.sigma)
+    return kernels.ant_grads_from(mu, X_full, y_full, rb.c1, rb.c2,
                                   rb.sigma, rb.w, rb.b, rb.q,
                                   kernels.STRENGTH_FLOOR)
 
 
 def apply_antecedent_update(rb: RuleBase, d_c1: np.ndarray, d_c2: np.ndarray,
-                            eta_ant: float, clip: float,
-                            min_separation: float = 0.05) -> RuleBase:
+                            eta_ant: float) -> RuleBase:
     """Clipped descent step on the interval bounds, then repair.
 
     Type-1 modes move the collapsed center rigidly by the summed bound
     gradients and skip constraint repair (the bounds stay identical).
     """
     if rb.mode.is_type1:
-        step = np.clip(d_c1 + d_c2, -clip, clip)
+        step = np.clip(d_c1 + d_c2, -GRAD_CLIP, GRAD_CLIP)
         rb.c1 -= eta_ant * step
         rb.c2 = rb.c1.copy()
         return rb
-    rb.c1 -= eta_ant * np.clip(d_c1, -clip, clip)
-    rb.c2 -= eta_ant * np.clip(d_c2, -clip, clip)
-    return enforce_constraints(rb, min_separation)
+    rb.c1 -= eta_ant * np.clip(d_c1, -GRAD_CLIP, GRAD_CLIP)
+    rb.c2 -= eta_ant * np.clip(d_c2, -GRAD_CLIP, GRAD_CLIP)
+    return enforce_constraints(rb)
 
 
-def enforce_constraints(rb: RuleBase,
-                        min_separation: float = 0.05) -> RuleBase:
+def enforce_constraints(rb: RuleBase) -> RuleBase:
     """Restore bound ordering and the minimum interval width, in place.
 
-    Bounds are swapped where inverted, then intervals narrower than the
-    minimum are expanded symmetrically about their midpoint (the value
-    inference branches on).  Widening nudges the upper bound by float
-    ulps when rounding leaves the measured width short.  Type-1 modes
-    are exempt: their bounds are collapsed by construction.
+    Bounds are swapped where inverted, then intervals narrower than
+    ``MIN_SEPARATION`` are expanded symmetrically about their midpoint
+    (the value inference branches on).  Widening nudges the upper bound
+    by float ulps when rounding leaves the measured width short.  Type-1
+    modes are exempt: their bounds are collapsed by construction.
     """
     if rb.mode.is_type1:
         return rb
@@ -189,36 +190,34 @@ def enforce_constraints(rb: RuleBase,
         lo = np.where(swapped, c2, c1)
         hi = np.where(swapped, c1, c2)
         c1, c2 = lo, hi
-    narrow = (c2 - c1) < min_separation
+    narrow = (c2 - c1) < MIN_SEPARATION
     if narrow.any():
         mid = 0.5 * (c1 + c2)
-        half = 0.5 * min_separation
+        half = 0.5 * MIN_SEPARATION
         c1 = np.where(narrow, mid - half, c1)
         c2 = np.where(narrow, mid + half, c2)
-        short = (c2 - c1) < min_separation
+        short = (c2 - c1) < MIN_SEPARATION
         while short.any():
             c2 = np.where(short, np.nextafter(c2, np.inf), c2)
-            short = (c2 - c1) < min_separation
+            short = (c2 - c1) < MIN_SEPARATION
     rb.c1 = np.ascontiguousarray(c1)
     rb.c2 = np.ascontiguousarray(c2)
     return rb
 
 
 def adapt_learning_rates(state: TrainState, mse_prev: float,
-                         mse_now: float, lr_up: float = 1.05,
-                         lr_down_cons: float = 0.9,
-                         lr_down_ant: float = 0.95) -> TrainState:
+                         mse_now: float) -> TrainState:
     """Scale both rates by the improvement signal and clamp to bounds."""
     if mse_prev - mse_now > 0:
-        state.eta_cons *= lr_up
-        state.eta_ant *= lr_up
+        state.eta_cons *= LR_UP
+        state.eta_ant *= LR_UP
     else:
-        state.eta_cons *= lr_down_cons
-        state.eta_ant *= lr_down_ant
-    state.eta_cons = min(max(state.eta_cons, state.eta_cons_bounds[0]),
-                         state.eta_cons_bounds[1])
-    state.eta_ant = min(max(state.eta_ant, state.eta_ant_bounds[0]),
-                        state.eta_ant_bounds[1])
+        state.eta_cons *= LR_DOWN_CONS
+        state.eta_ant *= LR_DOWN_ANT
+    state.eta_cons = min(max(state.eta_cons, ETA_CONS_BOUNDS[0]),
+                         ETA_CONS_BOUNDS[1])
+    state.eta_ant = min(max(state.eta_ant, ETA_ANT_BOUNDS[0]),
+                        ETA_ANT_BOUNDS[1])
     return state
 
 
@@ -267,11 +266,9 @@ def train(rb: RuleBase, data: Dataset, cfg: TrainConfig,
         raise ValueError("rule base arity does not match the dataset")
 
     rng = np.random.default_rng(cfg.seed)
-    state = TrainState(eta_cons=cfg.eta_cons, eta_ant=cfg.eta_ant,
-                       eta_cons_bounds=cfg.eta_cons_bounds,
-                       eta_ant_bounds=cfg.eta_ant_bounds)
-    mem = kernels.memberships(Xtr, rb.c1, rb.c2, rb.sigma)
-    mse_prev = _mse(rb, Xtr, ytr, (mem.mu_l, mem.mu_u))
+    state = TrainState(eta_cons=cfg.eta_cons, eta_ant=cfg.eta_ant)
+    mu = kernels.fire(Xtr, rb.c1, rb.c2, rb.sigma)
+    mse_prev = _mse(rb, Xtr, ytr, mu)
 
     log_handle = None
     if cfg.log_path is not None:
@@ -288,34 +285,31 @@ def train(rb: RuleBase, data: Dataset, cfg: TrainConfig,
                 batch = order[start:start + cfg.batch_size]
                 d_w, d_b = consequent_gradients(
                     rb, Xtr[batch], ytr[batch],
-                    (mem.mu_l[batch], mem.mu_u[batch]))
+                    (mu[0][batch], mu[1][batch]))
                 apply_consequent_update(rb, d_w, d_b, state.eta_cons,
                                         cfg.lambda_l1, cfg.lambda_l2)
 
-            d_c1, d_c2 = antecedent_gradients(rb, Xtr, ytr, mem)
-            # release every reference to the stale memberships before
+            d_c1, d_c2 = antecedent_gradients(rb, Xtr, ytr, mu)
+            # release every reference to the stale strengths before
             # refiring, so the two (N, R) strength sets never coexist
-            mem = None
-            apply_antecedent_update(rb, d_c1, d_c2, state.eta_ant,
-                                    cfg.grad_clip, cfg.min_separation)
+            mu = None
+            apply_antecedent_update(rb, d_c1, d_c2, state.eta_ant)
             _check_finite(rb, epoch)
-            mem = kernels.memberships(Xtr, rb.c1, rb.c2, rb.sigma)
+            mu = kernels.fire(Xtr, rb.c1, rb.c2, rb.sigma)
 
             if cfg.learn_q:
                 rb.q = float(np.clip(
-                    rb.q - state.eta_ant * _q_gradient(
-                        rb, Xtr, ytr, (mem.mu_l, mem.mu_u)),
+                    rb.q - state.eta_ant * _q_gradient(rb, Xtr, ytr, mu),
                     0.0, 1.0))
 
-            train_mse = _mse(rb, Xtr, ytr, (mem.mu_l, mem.mu_u))
+            train_mse = _mse(rb, Xtr, ytr, mu)
             val_mse = _mse(rb, Xval, yval)
             if not (math.isfinite(train_mse) and math.isfinite(val_mse)):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}: "
                     f"train={train_mse}, val={val_mse}")
 
-            adapt_learning_rates(state, mse_prev, train_mse, cfg.lr_up,
-                                 cfg.lr_down_cons, cfg.lr_down_ant)
+            adapt_learning_rates(state, mse_prev, train_mse)
             mse_prev = train_mse
 
             checkpointed = val_mse < state.best_val_mse
@@ -326,16 +320,13 @@ def train(rb: RuleBase, data: Dataset, cfg: TrainConfig,
             else:
                 state.epochs_since_improvement += 1
 
-            state.history.append(EpochRecord(
+            record = EpochRecord(
                 epoch=epoch, train_mse=train_mse, val_mse=val_mse,
                 eta_cons=eta_cons_used, eta_ant=eta_ant_used,
-                checkpointed=checkpointed))
+                checkpointed=checkpointed)
+            state.history.append(record)
             if log_handle is not None:
-                log_handle.write(json.dumps({
-                    "epoch": epoch, "train_mse": train_mse,
-                    "val_mse": val_mse, "eta_cons": eta_cons_used,
-                    "eta_ant": eta_ant_used, "checkpointed": checkpointed,
-                }) + "\n")
+                log_handle.write(json.dumps(asdict(record)) + "\n")
             if epoch_callback is not None:
                 epoch_callback(rb, state)
 

@@ -4,15 +4,21 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import importlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import it2anfis
 from it2anfis import core
 from it2anfis.cli import PREDICTION_COLUMNS, main
 from it2anfis.dataset import load_csv, normalize_and_split
@@ -90,6 +96,25 @@ class TestTrainCommand:
     def test_unknown_mode_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             main(["train", "--synthetic", "--mode", "type3"])
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--eta-cons", "0.5"), ("--eta-cons", "nan"), ("--eta-ant", "inf"),
+        ("--lambda-l1", "nan"), ("--lambda-l2", "inf"),
+    ])
+    def test_bad_rate_or_weight_fails_writing_nothing(
+            self, workspace, tmp_path, capsys, flag, value):
+        message = {
+            "--eta-cons": "eta_cons must lie in [1e-05, 0.05]",
+            "--eta-ant": "eta_ant must lie in [1e-06, 0.02]",
+            "--lambda-l1": "lambda_l1 must be finite and >= 0",
+            "--lambda-l2": "lambda_l2 must be finite and >= 0",
+        }[flag]
+        code = main(["train", "--data", str(workspace["data"]),
+                     "--rules", "3", "--max-epochs", "2", flag, value,
+                     "--out", str(tmp_path / "model.json")])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPredictCommand:
@@ -385,6 +410,21 @@ class TestSweepCommand:
         assert "n_seeds must be <= 100" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_rate_fails_before_training(self, workspace, tmp_path,
+                                                   capsys, monkeypatch):
+        calls = []
+        # the package's ``sweep`` attribute is the function, not the module
+        monkeypatch.setattr(importlib.import_module("it2anfis.sweep"),
+                            "train", lambda *args: calls.append(args))
+        code = main(["sweep", "--data", str(workspace["data"]),
+                     "--rules-list", "2", "--seeds", "1",
+                     "--max-epochs", "1", "--eta-cons", "nan",
+                     "--out", str(tmp_path / "s.csv")])
+        assert code == 1
+        assert "eta_cons must lie in" in capsys.readouterr().err
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSynthCommand:
     def test_deterministic_bytes(self, tmp_path):
@@ -405,6 +445,20 @@ class TestSynthCommand:
         _run(["synth", "--out", str(c), "--seed", "6",
               "--synth-samples", "50", "--synth-features", "3"])
         assert a.read_bytes() != c.read_bytes()
+
+    def test_module_entry_point(self, tmp_path):
+        out = tmp_path / "s.csv"
+        src = str(Path(it2anfis.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run(
+            [sys.executable, "-m", "it2anfis.cli", "synth", "--out",
+             str(out), "--synth-samples", "20", "--synth-features", "2"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert f"wrote 20 rows to {out}" in done.stdout
+        with out.open(newline="") as handle:
+            assert len(list(csv.reader(handle))) == 21
 
     def test_expected_shape(self, tmp_path):
         out = tmp_path / "s.csv"

@@ -7,14 +7,15 @@ import math
 import numpy as np
 import pytest
 
-from it2anfis import kernels
+from it2anfis import core, kernels
 from it2anfis.core import Mode, RuleBase, predict_arrays
 from it2anfis.dataset import (SyntheticSpec, generate_synthetic,
                               normalize_and_split)
 from it2anfis.initializer import InitConfig, build_rulebase
-from it2anfis.trainer import (TrainConfig, TrainState, TrainingDiverged,
-                              _check_finite, adapt_learning_rates,
-                              antecedent_gradients, apply_antecedent_update,
+from it2anfis.trainer import (ETA_ANT_BOUNDS, ETA_CONS_BOUNDS, TrainConfig,
+                              TrainState, TrainingDiverged, _check_finite,
+                              adapt_learning_rates, antecedent_gradients,
+                              apply_antecedent_update,
                               apply_consequent_update, consequent_gradients,
                               enforce_constraints, train)
 
@@ -167,21 +168,21 @@ class TestApplyAntecedentUpdate:
         rb = random_rulebase(rng, 1, 1)
         before = rb.c1[0, 0]
         apply_antecedent_update(rb, np.array([[5.0]]), np.zeros((1, 1)),
-                                eta_ant=0.001, clip=0.1)
+                                eta_ant=0.001)
         assert before - rb.c1[0, 0] == pytest.approx(1e-4, rel=1e-9)
 
     def test_zero_gradient_keeps_centers(self, rng):
         rb = random_rulebase(rng, 2, 2)
         c1 = rb.c1.copy()
         apply_antecedent_update(rb, np.zeros((2, 2)), np.zeros((2, 2)),
-                                eta_ant=0.001, clip=0.1)
+                                eta_ant=0.001)
         np.testing.assert_array_equal(rb.c1, c1)
 
     def test_inside_band_passes_through(self, rng):
         rb = random_rulebase(rng, 1, 1)
         before = rb.c2[0, 0]
         apply_antecedent_update(rb, np.zeros((1, 1)), np.array([[-0.05]]),
-                                eta_ant=0.001, clip=0.1)
+                                eta_ant=0.001)
         assert rb.c2[0, 0] - before == pytest.approx(5e-5, rel=1e-9)
 
     def test_no_parameter_moves_beyond_clip_budget(self, rng):
@@ -189,8 +190,7 @@ class TestApplyAntecedentUpdate:
         c1, c2 = rb.c1.copy(), rb.c2.copy()
         g1 = rng.normal(0, 10, (4, 3))
         g2 = rng.normal(0, 10, (4, 3))
-        apply_antecedent_update(rb, g1, g2, eta_ant=0.01, clip=0.1,
-                                min_separation=0.0)
+        apply_antecedent_update(rb, g1, g2, eta_ant=0.01)
         assert np.abs(rb.c1 - c1).max() <= 0.01 * 0.1 + 1e-15
         assert np.abs(rb.c2 - c2).max() <= 0.01 * 0.1 + 1e-15
 
@@ -199,7 +199,7 @@ class TestApplyAntecedentUpdate:
         c = rb.c1.copy()
         g1 = rng.normal(0, 0.01, (2, 2))
         g2 = rng.normal(0, 0.01, (2, 2))
-        apply_antecedent_update(rb, g1, g2, eta_ant=0.5, clip=0.1)
+        apply_antecedent_update(rb, g1, g2, eta_ant=0.5)
         np.testing.assert_array_equal(rb.c1, rb.c2)
         expected = c - 0.5 * np.clip(g1 + g2, -0.1, 0.1)
         np.testing.assert_allclose(rb.c1, expected, rtol=1e-12)
@@ -392,8 +392,29 @@ class TestTrain:
             TrainConfig(max_epochs=0).validate()
         with pytest.raises(ValueError):
             TrainConfig(eta_cons=-1.0).validate()
-        with pytest.raises(ValueError):
-            TrainConfig(eta_cons_bounds=(0.1, 0.01)).validate()
+
+    @pytest.mark.parametrize("field, value", [
+        ("eta_cons", 0.5), ("eta_cons", 1e-6), ("eta_ant", 0.5),
+        ("eta_ant", 1e-7), ("eta_cons", math.nan), ("eta_ant", math.inf),
+    ])
+    def test_start_rate_outside_its_clamp_rejected(self, field, value):
+        lo, hi = {"eta_cons": ETA_CONS_BOUNDS,
+                  "eta_ant": ETA_ANT_BOUNDS}[field]
+        with pytest.raises(ValueError,
+                           match=rf"{field} must lie in \[{lo:g}, {hi:g}\]"):
+            TrainConfig(**{field: value}).validate()
+
+    @pytest.mark.parametrize("field, value", [
+        ("lambda_l1", math.nan), ("lambda_l1", -0.1),
+        ("lambda_l2", math.inf), ("lambda_l2", math.nan),
+    ])
+    def test_non_finite_or_negative_weight_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TrainConfig(**{field: value}).validate()
+
+    def test_clamp_ends_are_valid_start_rates(self):
+        for cons, ant in zip(ETA_CONS_BOUNDS, ETA_ANT_BOUNDS):
+            TrainConfig(eta_cons=cons, eta_ant=ant).validate()
 
 
 def _uncached_train(rb, data, cfg):
@@ -420,15 +441,13 @@ def _uncached_train(rb, data, cfg):
             apply_consequent_update(rb, d_w, d_b, state.eta_cons,
                                     cfg.lambda_l1, cfg.lambda_l2)
         d_c1, d_c2 = antecedent_gradients(rb, Xtr, ytr)
-        apply_antecedent_update(rb, d_c1, d_c2, state.eta_ant,
-                                cfg.grad_clip, cfg.min_separation)
+        apply_antecedent_update(rb, d_c1, d_c2, state.eta_ant)
         if cfg.learn_q:
             y_l, y_u, y_p = predict_arrays(rb, Xtr)
             q_grad = float(np.mean((y_p - ytr) * (y_l - y_u)))
             rb.q = float(np.clip(rb.q - state.eta_ant * q_grad, 0.0, 1.0))
         train_mse, val_mse = mse(Xtr, ytr), mse(Xval, yval)
-        adapt_learning_rates(state, mse_prev, train_mse, cfg.lr_up,
-                             cfg.lr_down_cons, cfg.lr_down_ant)
+        adapt_learning_rates(state, mse_prev, train_mse)
         mse_prev = train_mse
         checkpointed = val_mse < state.best_val_mse
         if checkpointed:
@@ -461,13 +480,16 @@ class TestMembershipCache:
         n_train, n_val = len(data.train_idx), len(data.val_idx)
         assert n_train != n_val
         rows = []
-        original = kernels.memberships
+        original = kernels.fire
 
         def counting(X, *args):
             rows.append(X.shape[0])
             return original(X, *args)
 
-        monkeypatch.setattr(kernels, "memberships", counting)
+        # the trainer fires through kernels.fire, core.forward through
+        # its own binding of the same function
+        monkeypatch.setattr(kernels, "fire", counting)
+        monkeypatch.setattr(core, "_fire_batch", counting)
         cfg = TrainConfig(max_epochs=6, patience=50, seed=1, learn_q=True)
         train(rb, data, cfg)
         assert rows.count(n_train) == cfg.max_epochs + 1
@@ -479,14 +501,14 @@ class TestMembershipCache:
         X = rng.uniform(-0.2, 1.2, (90, 4))
         X[7] = 60.0  # a uniform-fallback row
         y = rng.normal(size=90)
-        mem = kernels.memberships(X, rb.c1, rb.c2, rb.sigma)
+        mu_l, mu_u = kernels.fire(X, rb.c1, rb.c2, rb.sigma)
         batch = rng.permutation(90)[:32]
         plain = consequent_gradients(rb, X[batch], y[batch])
         cached = consequent_gradients(rb, X[batch], y[batch],
-                                      (mem.mu_l[batch], mem.mu_u[batch]))
+                                      (mu_l[batch], mu_u[batch]))
         for a, b in zip(plain, cached):
             np.testing.assert_array_equal(a, b)
         plain = antecedent_gradients(rb, X, y)
-        cached = antecedent_gradients(rb, X, y, mem)
+        cached = antecedent_gradients(rb, X, y, (mu_l, mu_u))
         for a, b in zip(plain, cached):
             np.testing.assert_array_equal(a, b)
