@@ -40,6 +40,12 @@ PARAM_LIMIT = 1e150
 PREDICT_CHUNK_BYTES = 4 * 2**20
 
 
+def check_q(q: float) -> None:
+    """Raise unless the blend weight q lies in [0, 1] (NaN fails)."""
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"q must lie in [0, 1], got {q}")
+
+
 class Mode(enum.Enum):
     """Rule-base flavor.
 
@@ -124,8 +130,7 @@ class RuleBase:
         if not all(np.all(np.abs(a) <= PARAM_LIMIT) for a in arrays):
             raise ValueError(f"rule base parameters must be finite and at "
                              f"most {PARAM_LIMIT:g} in magnitude")
-        if not 0.0 <= self.q <= 1.0:
-            raise ValueError(f"q must lie in [0, 1], got {self.q}")
+        check_q(self.q)
         if np.any(self.c1 > self.c2):
             raise ValueError("every antecedent needs c1 <= c2")
         if np.any(self.sigma < SIGMA_MIN):

@@ -4,7 +4,13 @@ Loads a plant-record CSV (daily energy target plus hydraulic, wastewater
 quality, and climate features), or generates a synthetic table with the
 same shape when no file is available.  Every CSV, labelled or not, goes
 through one reader with one strict policy: a bad row fails the read,
-naming the file, line and column, and is never dropped.  Features are
+naming the file, line and column, and is never dropped.  A clean file is
+parsed by numpy's C parser; any other file, and any file that parser
+refuses, goes through the strict cell-by-cell loop, which alone decides
+what is rejected and how.  Both give the same array bit for bit.  A
+caller that names the columns it uses (``load_features``, or
+``load_csv(features=...)`` for ``evaluate``) has only those parsed, so
+a text column it never reads cannot fail the read.  Features are
 min-max scaled to [0, 1] and the target is z-scored, both fit on the
 training split only; the scalers are retained so every reported metric
 can be inverted back to original units (MWh).
@@ -14,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
@@ -129,6 +136,50 @@ def _parse_cell(text: str) -> float:
     return value
 
 
+#: characters on which numpy's parser and the strict loop can disagree:
+#: csv quoting (a header that spans lines needs it too), NUL (which csv
+#: rejects on Python 3.10), and the ASCII separators U+001C..U+001F,
+#: which numpy strips as whitespace and ``float`` does not
+_SLOW_PATH_CHARS = '"\0\x1c\x1d\x1e\x1f'
+
+
+def _parse_clean(path: Path, width: int,
+                 positions: list[int]) -> np.ndarray | None:
+    """The selected columns by numpy's C parser, or None for the loop.
+
+    Returns an array only when the file's data lines are strict UTF-8
+    without a ``_SLOW_PATH_CHARS`` character or a line longer than
+    csv's field limit, every line has ``width`` cells, and every
+    selected cell is a finite real that numpy parses.  On such a file
+    numpy and ``float`` read the same ASCII grammar, so the array is the
+    strict loop's bit for bit.  Unselected cells (dates, text) are never
+    parsed.  Every other file, header-only ones included, returns None.
+    """
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        return None
+    body = text.partition("\n")[2]
+    if any(ch in body for ch in _SLOW_PATH_CHARS):
+        return None
+    lines = body.split("\n")
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    skip = {i: (lambda _cell: 0.0) for i in range(width)
+            if i not in positions}
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None,
+                               converters=skip)
+    except (ValueError, Warning):  # the strict loop names the fault
+        return None
+    if table.shape[1] != width:
+        return None
+    table = table[:, positions]
+    return table if np.isfinite(table).all() else None
+
+
 def _read_csv(path: str | Path, select: Callable[[list[str]], list[str]]
               ) -> tuple[list[str], np.ndarray]:
     """The one CSV parse loop, under the one bad-row policy.
@@ -139,6 +190,7 @@ def _read_csv(path: str | Path, select: Callable[[list[str]], list[str]]
     header's, or a selected cell that is not a finite real raises
     ValueError naming the file (and the line and column).  No row is
     dropped, so row k of the result is the k-th data line of the file.
+    A file that ``_parse_clean`` accepts skips the loop.
     """
     path = Path(path)
     if not path.is_file():
@@ -160,6 +212,9 @@ def _read_csv(path: str | Path, select: Callable[[list[str]], list[str]]
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         positions = [header.index(name) for name in names]
+        table = _parse_clean(path, len(header), positions)
+        if table is not None:
+            return names, table
         rows: list[list[float]] = []
         for record in reader:
             if not any(cell.strip() for cell in record):
@@ -183,24 +238,31 @@ def _read_csv(path: str | Path, select: Callable[[list[str]], list[str]]
 
 
 def load_csv(path: str | Path, target_column: str,
-             date_column: str | None = None) -> RawTable:
+             date_column: str | None = None,
+             features: list[str] | None = None) -> RawTable:
     """Read a header-led CSV into a RawTable.
 
     Every column but the date column must hold a finite real on every
     data line; the first bad row fails the read (see ``_read_csv``).
-    Raises on a missing file, a missing target or date column, or a
-    file with no data rows.
+    Given ``features``, only those columns and the target are parsed,
+    in header order, and any other column is never read.  Raises on a
+    missing file, a missing target or date column, a file with no data
+    rows, or a named feature that the header lacks, in that order.
     """
     def numeric_columns(header: list[str]) -> list[str]:
         for role, name in (("target", target_column), ("date", date_column)):
             if name is not None and name not in header:
                 raise ValueError(f"{role} column {name!r} not in header "
                                  f"{header}")
-        return [h for h in header if h != date_column]
+        return [h for h in header if h != date_column and (
+            features is None or h in features or h == target_column)]
 
     names, rows = _read_csv(path, numeric_columns)
     if rows.shape[0] == 0:
         raise ValueError(f"{path}: zero usable rows below the header")
+    missing = [c for c in features or () if c not in names]
+    if missing:
+        raise ValueError(f"{path}: missing model feature columns {missing}")
     return RawTable(column_names=names, rows=rows,
                     target_column=target_column, date_column=date_column)
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Mode, predict_arrays
+from .core import Mode, check_q, predict_arrays
 from .dataset import Dataset, RawTable, inverse_target, normalize_and_split
 from .initializer import InitConfig, build_rulebase, ranges_from_training
 from .metrics import MetricSet, evaluate
@@ -61,6 +61,9 @@ class SweepConfig:
             raise ValueError("at least one mode is required")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
+        # the checks every cell's rule base would otherwise fail
+        InitConfig(n_rules=1, alpha=self.alpha).validate()
+        check_q(self.q)
 
 
 @dataclass

@@ -70,8 +70,9 @@ class TrainConfig:
     log_path: str | Path | None = None
 
     def validate(self) -> None:
-        if self.max_epochs < 1 or self.batch_size < 1 or self.patience < 1:
-            raise ValueError("counts must be >= 1")
+        for name in ("max_epochs", "batch_size", "patience"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         for name, (lo, hi) in (("eta_cons", ETA_CONS_BOUNDS),
                                ("eta_ant", ETA_ANT_BOUNDS)):
             # the negated test also rejects NaN

@@ -20,7 +20,7 @@ import pytest
 
 import it2anfis
 from it2anfis import core
-from it2anfis.cli import PREDICTION_COLUMNS, main
+from it2anfis.cli import PREDICTION_COLUMNS, _write_predictions, main
 from it2anfis.dataset import load_csv, normalize_and_split
 
 
@@ -172,6 +172,30 @@ class TestPredictCommand:
         assert "wrote 0 predictions" in stdout
         assert _read_predictions(out) == []
 
+    @pytest.mark.parametrize("values", [
+        [250.5, -0.0, 0.0, 1e300, -1.2345678901234567e300, 1e-300,
+         -9.87654321e-301, 2.2250738585072014e-308, 5e-324, 1 / 3],
+        [],
+    ], ids=["edge-values", "no-rows"])
+    def test_writer_bytes_match_csv_writer(self, tmp_path, values):
+        y_p = np.array(values, dtype=np.float64)
+        lo = y_p - np.abs(y_p) / 7
+        hi = y_p + np.abs(y_p) / 3
+        out = tmp_path / "fast.csv"
+        _write_predictions(out, y_p, lo, hi)
+
+        golden = tmp_path / "golden.csv"
+        with golden.open("w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(PREDICTION_COLUMNS)
+            for i in range(y_p.shape[0]):
+                writer.writerow([i, f"{y_p[i]:.17g}", f"{lo[i]:.17g}",
+                                 f"{hi[i]:.17g}", f"{hi[i] - lo[i]:.17g}"])
+        assert out.read_bytes() == golden.read_bytes()
+        assert out.read_bytes().count(b"\r\n") == len(values) + 1
+        if values:
+            assert b",-0," in out.read_bytes()
+
     def test_missing_feature_column_fails(self, workspace, capsys):
         bad = workspace["root"] / "bad.csv"
         bad.write_text("x1,unrelated\n0.5,1.0\n")
@@ -318,6 +342,25 @@ class TestEvaluateCommand:
         mse = float(np.mean((y_pred - y_true) ** 2))
         assert float(match.group(1)) == pytest.approx(mse, rel=1e-12)
 
+    def test_unused_text_column_is_not_read(self, workspace):
+        lines = workspace["data"].read_text().splitlines()
+        data = workspace["root"] / "with_site.csv"
+        data.write_text("\n".join([f"site,{lines[0]}"] + [
+            f"plant-A,{ln}" for ln in lines[1:]]) + "\n")
+        clean = _run(["evaluate", "--model", str(workspace["model_it2"]),
+                      "--data", str(workspace["data"])])
+        assert _run(["evaluate", "--model", str(workspace["model_it2"]),
+                     "--data", str(data)]) == clean
+        assert clean[0] == 0
+
+    def test_missing_feature_column_fails(self, workspace, capsys):
+        data = workspace["root"] / "no_x2.csv"
+        data.write_text("x1,energy_mwh\n0.5,250\n")
+        assert main(["evaluate", "--model", str(workspace["model_it2"]),
+                     "--data", str(data)]) == 1
+        assert capsys.readouterr().err.strip() == \
+            f"error: {data}: missing model feature columns ['x2']"
+
     def test_missing_model_fails(self, workspace, capsys):
         code = main(["evaluate", "--model", "/nonexistent/model.json",
                      "--data", str(workspace["data"])])
@@ -412,16 +455,35 @@ class TestSweepCommand:
 
     def test_non_finite_rate_fails_before_training(self, workspace, tmp_path,
                                                    capsys, monkeypatch):
+        self._fails_before_training(workspace, tmp_path, capsys, monkeypatch,
+                                    ["--eta-cons", "nan"],
+                                    "eta_cons must lie in")
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--q", "2", "q must lie in [0, 1], got 2.0"),
+        ("--q", "nan", "q must lie in [0, 1], got nan"),
+        ("--alpha", "nan", "alpha must lie in (0, 1], got nan"),
+        ("--alpha", "0", "alpha must lie in (0, 1], got 0.0"),
+    ])
+    def test_bad_q_or_alpha_fails_before_training(self, workspace, tmp_path,
+                                                  capsys, monkeypatch, flag,
+                                                  value, message):
+        self._fails_before_training(workspace, tmp_path, capsys, monkeypatch,
+                                    [flag, value], message)
+
+    @staticmethod
+    def _fails_before_training(workspace, tmp_path, capsys, monkeypatch,
+                               flags, message):
         calls = []
         # the package's ``sweep`` attribute is the function, not the module
         monkeypatch.setattr(importlib.import_module("it2anfis.sweep"),
                             "train", lambda *args: calls.append(args))
         code = main(["sweep", "--data", str(workspace["data"]),
                      "--rules-list", "2", "--seeds", "1",
-                     "--max-epochs", "1", "--eta-cons", "nan",
+                     "--max-epochs", "1", *flags,
                      "--out", str(tmp_path / "s.csv")])
         assert code == 1
-        assert "eta_cons must lie in" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert calls == []
         assert list(tmp_path.iterdir()) == []
 

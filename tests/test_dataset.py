@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import csv
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from it2anfis import dataset
 from it2anfis.dataset import (SyntheticSpec, generate_synthetic,
                               inverse_target, load_csv, load_features,
                               normalize_and_split, split_sizes, TargetScaler)
@@ -164,6 +167,139 @@ class TestCsvPolicyProperty:
                 assert got.shape == (len(rows), len(columns))
                 assert np.all(np.isfinite(got))
                 np.testing.assert_array_equal(got, np.reshape(rows, got.shape))
+
+
+def _outcome(path, columns: list[str]):
+    """What ``_read_csv`` gives: names, shape, dtype, bytes; or the error."""
+    try:
+        names, rows = dataset._read_csv(path, lambda header: columns)
+    except Exception as exc:  # noqa: BLE001 - csv.Error is not a ValueError
+        return type(exc), str(exc)
+    return names, rows.shape, rows.dtype, rows.tobytes()
+
+
+def _strict_outcome(path, columns: list[str]):
+    """``_outcome`` with numpy's parser switched off: the strict loop."""
+    with mock.patch.object(dataset, "_parse_clean", return_value=None):
+        return _outcome(path, columns)
+
+
+WIDE_HEADER = ["date", "a", "energy_mwh"]
+#: cells on which numpy's parser and ``float`` were seen to differ, or
+#: that csv reads differently from a plain split; "<ff>" is written as a
+#: byte that is not UTF-8
+PITFALL_CELLS = ["1_000", '"2.5"', '"x,y"', "\u0661.\u0665", "", " ",
+                 "1.5#x", "-0", "-0.0", "1e-400", "1e400", "4.9e-324",
+                 "1.7976931348623157e308", "nan", "-inf", "Infinity",
+                 "abc", "2024-01-01", "1.5\x1c", "\x1f2", "\u20031.5",
+                 "1.5\x85", "\t2\t", " 3 ", "+.5", "5.", "1E5", "0x10",
+                 "1.5\x00", "1.5j", "<ff>"]
+finite_cells = st.one_of(st.floats(allow_nan=False, allow_infinity=False)
+                         .map(repr), st.integers().map(str))
+wide_cells = st.one_of(finite_cells, st.floats().map(repr),
+                       st.sampled_from(PITFALL_CELLS))
+#: most lines are clean, so that many files reach numpy's parser whole
+clean_lines = st.tuples(st.sampled_from(["2024-01-01", "plant-A", ""])
+                        | finite_cells, finite_cells, finite_cells
+                        ).map(",".join)
+wide_lines = st.one_of(clean_lines, clean_lines, clean_lines,
+                       st.sampled_from(["", " ", ",,", " , , "]),
+                       st.lists(wide_cells, min_size=2, max_size=4)
+                       .map(",".join))
+
+
+class TestNumpyPathProperty:
+    """numpy's parser changes nothing: every file gives the strict loop's
+    array bit for bit, or fails with the strict loop's exact error."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(body=st.lists(wide_lines, max_size=6),
+           ending=st.sampled_from(["\n", "\r\n", "\r"]),
+           columns=st.sampled_from([["a", "energy_mwh"], ["energy_mwh", "a"],
+                                    WIDE_HEADER, ["a"], ["energy_mwh"]]))
+    def test_matches_strict_loop(self, body, ending, columns):
+        text = ending.join([",".join(WIDE_HEADER), *body]) + ending
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "p.csv"
+            path.write_bytes(text.encode("utf-8").replace(b"<ff>", b"\xff"))
+            assert _outcome(path, columns) == _strict_outcome(path, columns)
+
+
+class TestNumpyPathRegressions:
+    """Files on which a plain ``np.loadtxt`` would differ from the loop."""
+
+    def test_uniform_wrong_width_fails_at_first_line(self, tmp_path):
+        path = _write(tmp_path, "d.csv", "a,b\n1,2,3\n4,5,6\n")
+        with pytest.raises(ValueError) as info:
+            load_features(path, ["a", "b"])
+        assert str(info.value) == f"{path}: line 2: 3 cells, header has 2"
+
+    def test_hash_is_not_a_comment(self, tmp_path):
+        # as a comment, '#x' would cut the last cell to 1.5
+        path = _write(tmp_path, "d.csv", "a,b\n2,1.5#x\n")
+        with pytest.raises(ValueError) as info:
+            load_features(path, ["a", "b"])
+        assert str(info.value) == (f"{path}: line 2, column 'b': could not "
+                                   f"convert string to float: '1.5#x'")
+
+    @pytest.mark.parametrize("text", ["a,b\n", "a,b", "a,b\n\n\n"])
+    def test_header_only_gives_zero_rows(self, tmp_path, text):
+        path = _write(tmp_path, "d.csv", text)
+        got = load_features(path, ["b", "a"])
+        assert got.shape == (0, 2) and got.dtype == np.float64
+
+    def test_whitespace_only_line_skipped(self, tmp_path):
+        path = _write(tmp_path, "d.csv", "a,b\n1,2\n \n3,4\n")
+        np.testing.assert_array_equal(load_features(path, ["a", "b"]),
+                                      [[1, 2], [3, 4]])
+
+    def test_quoted_cell_parsed(self, tmp_path):
+        path = _write(tmp_path, "d.csv", 'a,b\n"2.5",1\n')
+        np.testing.assert_array_equal(load_features(path, ["a", "b"]),
+                                      [[2.5, 1.0]])
+
+    def test_quoted_comma_in_unread_column_is_one_cell(self, tmp_path):
+        # split on every comma, the row would have the header's 3 cells
+        path = _write(tmp_path, "d.csv", 'date,site,b\n"x,y",1\n')
+        with pytest.raises(ValueError) as info:
+            load_features(path, ["b"])
+        assert str(info.value) == f"{path}: line 2: 2 cells, header has 3"
+
+    def test_header_spanning_lines_is_not_data(self, tmp_path):
+        # the header's second line, read as data, would be the row 2,3
+        path = _write(tmp_path, "d.csv", 'a,"x\n2,3"\n5,6\n')
+        np.testing.assert_array_equal(load_features(path, ["a"]), [[5.0]])
+
+    def test_date_column_file_takes_numpy_path(self, tmp_path, monkeypatch):
+        path = _write(tmp_path, "d.csv",
+                      "date,a,energy_mwh\n2024-01-01,1.5,10\n"
+                      "2024-01-02,-0,20\n")
+
+        def no_cell(text):
+            raise AssertionError("the strict loop ran")
+
+        monkeypatch.setattr(dataset, "_parse_cell", no_cell)
+        raw = load_csv(path, "energy_mwh", date_column="date")
+        assert raw.column_names == ["a", "energy_mwh"]
+        assert raw.rows.tobytes() == np.array([[1.5, 10.0],
+                                               [-0.0, 20.0]]).tobytes()
+
+    def test_separator_control_char_fails_as_float_does(self, tmp_path):
+        # numpy strips U+001C as whitespace; float() refuses it
+        path = _write(tmp_path, "d.csv", "a\n1.5\x1c\n")
+        with pytest.raises(ValueError, match=r"line 2, column 'a': could "
+                                             r"not convert string to float"):
+            load_features(path, ["a"])
+
+    def test_cell_over_csv_field_limit_fails_as_csv_does(self, tmp_path):
+        path = _write(tmp_path, "d.csv", "a\n1.0000000000\n")
+        old = csv.field_size_limit(8)
+        try:
+            with pytest.raises(csv.Error, match="field larger than field "
+                                                "limit"):
+                load_features(path, ["a"])
+        finally:
+            csv.field_size_limit(old)
 
 
 class TestNormalizeAndSplit:

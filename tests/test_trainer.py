@@ -393,6 +393,12 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(eta_cons=-1.0).validate()
 
+    @pytest.mark.parametrize("field", ["max_epochs", "batch_size",
+                                       "patience"])
+    def test_count_below_one_rejected_by_name(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be >= 1$"):
+            TrainConfig(**{field: 0}).validate()
+
     @pytest.mark.parametrize("field, value", [
         ("eta_cons", 0.5), ("eta_cons", 1e-6), ("eta_ant", 0.5),
         ("eta_ant", 1e-7), ("eta_cons", math.nan), ("eta_ant", math.inf),
