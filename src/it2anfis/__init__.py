@@ -6,8 +6,7 @@ the initializer, the trainer, uncertainty explanation, metrics,
 persistence, and the benchmark sweep.
 """
 
-from .core import (IT2Antecedent, Mode, RuleBase, forward, membership_bounds,
-                   predict_arrays)
+from .core import Mode, RuleBase, forward, predict_arrays
 from .dataset import (Dataset, FeatureScaler, RawTable, SyntheticSpec,
                       TargetScaler, generate_synthetic, inverse_target,
                       load_csv, normalize_and_split)
@@ -29,15 +28,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Dataset", "FeatureScaler", "FeatureUncertainty", "InitConfig",
-    "IT2Antecedent", "MetricSet", "Mode", "ModelFormatError", "RawTable",
-    "RuleBase", "RuleUncertainty", "SweepConfig", "SyntheticSpec",
-    "TargetScaler", "TrainConfig", "TrainState", "TrainingDiverged",
-    "UncertaintyReport", "active_backend", "adapt_learning_rates",
-    "antecedent_gradients", "apply_antecedent_update",
-    "apply_consequent_update", "build_rulebase", "consequent_gradients",
-    "enforce_constraints", "evaluate", "explain_instance", "explain_model",
-    "export_rules_text", "forward", "fou_area", "generate_synthetic",
-    "inverse_target", "lhs_centers", "load_csv", "load_model",
-    "membership_bounds", "normalize_and_split", "partition_width",
+    "MetricSet", "Mode", "ModelFormatError", "RawTable", "RuleBase",
+    "RuleUncertainty", "SweepConfig", "SyntheticSpec", "TargetScaler",
+    "TrainConfig", "TrainState", "TrainingDiverged", "UncertaintyReport",
+    "active_backend", "adapt_learning_rates", "antecedent_gradients",
+    "apply_antecedent_update", "apply_consequent_update", "build_rulebase",
+    "consequent_gradients", "enforce_constraints", "evaluate",
+    "explain_instance", "explain_model", "export_rules_text", "forward",
+    "fou_area", "generate_synthetic", "inverse_target", "lhs_centers",
+    "load_csv", "load_model", "normalize_and_split", "partition_width",
     "predict_arrays", "run_seed", "save_model", "sweep", "train",
 ]

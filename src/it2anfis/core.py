@@ -1,11 +1,12 @@
-"""Interval type-2 TSK rule base: memberships, firing, type reduction.
+"""Interval type-2 TSK rule base: parameters, inference, type reduction.
 
 A rule base holds R first-order Takagi-Sugeno rules over F inputs.  Each
 antecedent is a Gaussian with an uncertain mean confined to [c1, c2] and
 a fixed spread sigma, so membership is an interval [mu_L, mu_U] rather
-than a single value (the footprint of uncertainty).  Rule outputs are
-affine in the input; the lower and upper firing strengths each produce a
-crisp output, and a fixed blend factor q mixes the two.
+than a single value (the footprint of uncertainty), defined once over
+arrays by ``kernels.membership_offsets`` and ``kernels.gaussian``.  Rule
+outputs are affine in the input; the lower and upper firing strengths
+each produce a crisp output, and a fixed blend factor q mixes the two.
 
 Data is stored as dense per-rule arrays (struct-of-arrays) so batch
 inference runs as whole-array numpy kernels.  The inference chain
@@ -21,7 +22,6 @@ explainer's instance level run it over row chunks of a fixed byte budget
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,24 +62,6 @@ class Mode(enum.Enum):
     @property
     def is_type1(self) -> bool:
         return self is not Mode.IT2
-
-
-@dataclass
-class IT2Antecedent:
-    """One fuzzy set: Gaussian with mean uncertain within [c1, c2].
-
-    Parameters
-    ----------
-    c1, c2 : float
-        Lower and upper bound of the uncertain mean, in normalized
-        feature units.  c1 <= c2.
-    sigma : float
-        Standard deviation shared by both bounding Gaussians.
-    """
-
-    c1: float
-    c2: float
-    sigma: float
 
 
 @dataclass
@@ -140,51 +122,9 @@ class RuleBase:
         if self.mode is Mode.TYPE1_ORDER0 and np.any(self.w != 0.0):
             raise ValueError("order-0 consequents must have zero slopes")
 
-    def antecedent(self, j: int, f: int) -> IT2Antecedent:
-        """Object view of one antecedent (copies the scalars)."""
-        return IT2Antecedent(float(self.c1[j, f]), float(self.c2[j, f]),
-                             float(self.sigma[j, f]))
-
     def copy(self) -> "RuleBase":
         return RuleBase(self.c1.copy(), self.c2.copy(), self.sigma.copy(),
                         self.w.copy(), self.b.copy(), q=self.q, mode=self.mode)
-
-
-def membership_bounds(ant: IT2Antecedent, x: float) -> tuple[float, float]:
-    """Lower and upper membership of a scalar input.
-
-    The upper bound is 1 on the plateau [c1, c2] and follows the nearer
-    bounding Gaussian outside it.  The lower bound follows the farther
-    Gaussian, switching at the interval midpoint; a tie at the midpoint
-    takes the c2 branch.
-
-    Returns
-    -------
-    (mu_L, mu_U) : tuple of float
-        0 <= mu_L <= mu_U <= 1.  mu_L is positive in exact arithmetic
-        but is 0.0 once exp underflows (0.5 z**2 beyond about 745 for
-        the farther mean).  ``kernels.fire`` takes one exp of 0.5 z**2
-        summed over a rule's features, so a rule's strength is 0.0 once
-        that sum passes about 745, even where no single factor would
-        underflow; ``kernels.STRENGTH_FLOOR`` handles such rules
-        downstream.
-    """
-    c_mid = 0.5 * (ant.c1 + ant.c2)
-    if x <= c_mid:
-        z = (x - ant.c2) / ant.sigma
-    else:
-        z = (x - ant.c1) / ant.sigma
-    mu_l = math.exp(-0.5 * z * z)
-
-    if x < ant.c1:
-        z = (x - ant.c1) / ant.sigma
-        mu_u = math.exp(-0.5 * z * z)
-    elif x > ant.c2:
-        z = (x - ant.c2) / ant.sigma
-        mu_u = math.exp(-0.5 * z * z)
-    else:
-        mu_u = 1.0
-    return (mu_l, mu_u)
 
 
 def _as_rows(rb: RuleBase, X: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -180,6 +180,17 @@ def _parse_clean(path: Path, width: int,
     return table if np.isfinite(table).all() else None
 
 
+def _records(path: Path, handle) -> Iterator[tuple[int, list[str]]]:
+    """(line number, cells) of each csv record; a csv.Error, such as a
+    field over ``csv.field_size_limit()``, fails naming file and line."""
+    reader = csv.reader(handle)
+    try:
+        for record in reader:
+            yield reader.line_num, record
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def _read_csv(path: str | Path, select: Callable[[list[str]], list[str]]
               ) -> tuple[list[str], np.ndarray]:
     """The one CSV parse loop, under the one bad-row policy.
@@ -187,10 +198,11 @@ def _read_csv(path: str | Path, select: Callable[[list[str]], list[str]]
     ``select(header)`` names the columns to parse, in order, or raises
     ValueError for what the header lacks.  Blank lines are skipped.  A
     header that repeats a name, a row whose cell count differs from the
-    header's, or a selected cell that is not a finite real raises
-    ValueError naming the file (and the line and column).  No row is
-    dropped, so row k of the result is the k-th data line of the file.
-    A file that ``_parse_clean`` accepts skips the loop.
+    header's, a selected cell that is not a finite real, or a record csv
+    cannot read raises ValueError naming the file (and the line and
+    column).  No row is dropped, so row k of the result is the k-th data
+    line of the file.  A file that ``_parse_clean`` accepts skips the
+    loop.
     """
     path = Path(path)
     if not path.is_file():
@@ -198,9 +210,9 @@ def _read_csv(path: str | Path, select: Callable[[list[str]], list[str]]
     # a byte that is not UTF-8 decodes to U+FFFD, which no float parses,
     # so it fails as a bad cell with its line and column named
     with path.open(newline="", encoding="utf-8", errors="replace") as handle:
-        reader = csv.reader(handle)
+        records = _records(path, handle)
         try:
-            header = [h.strip() for h in next(reader)]
+            header = [h.strip() for h in next(records)[1]]
         except StopIteration:
             raise ValueError(f"{path}: empty file, expected a header row")
         repeated = sorted({h for h in header if header.count(h) > 1})
@@ -216,13 +228,12 @@ def _read_csv(path: str | Path, select: Callable[[list[str]], list[str]]
         if table is not None:
             return names, table
         rows: list[list[float]] = []
-        for record in reader:
+        for line, record in records:
             if not any(cell.strip() for cell in record):
                 continue
             if len(record) != len(header):
-                raise ValueError(f"{path}: line {reader.line_num}: "
-                                 f"{len(record)} cells, header has "
-                                 f"{len(header)}")
+                raise ValueError(f"{path}: line {line}: {len(record)} "
+                                 f"cells, header has {len(header)}")
             try:
                 rows.append([_parse_cell(record[i]) for i in positions])
             except ValueError:
@@ -232,8 +243,8 @@ def _read_csv(path: str | Path, select: Callable[[list[str]], list[str]]
                         _parse_cell(record[i])
                     except ValueError as exc:
                         raise ValueError(
-                            f"{path}: line {reader.line_num}, column "
-                            f"{header[i]!r}: {exc}") from None
+                            f"{path}: line {line}, column {header[i]!r}: "
+                            f"{exc}") from None
     return names, np.asarray(rows, dtype=np.float64).reshape(-1, len(names))
 
 

@@ -1,7 +1,8 @@
 """Three-level uncertainty reporting over a trained rule base.
 
 Feature level: the area enclosed between the upper and lower membership
-curves of each antecedent (a scalar footprint-of-uncertainty size).
+curves of each antecedent over the whole real line, in closed form (a
+scalar footprint-of-uncertainty size).
 Rule level: per-rule aggregates of those areas plus a consequent-norm
 diagnostic.  Instance level: for a batch of rows, the prediction
 intervals in original target units, equal bit for bit to
@@ -13,15 +14,17 @@ dumps the rule base as readable IF-THEN text.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IT2Antecedent, RuleBase, _as_rows, chunk_rows, forward
+from .core import RuleBase, _as_rows, chunk_rows, forward
 from .dataset import FeatureScaler, TargetScaler
 from .kernels import gaussian, membership_offsets
 
-DEFAULT_FOU_POINTS = 256
+#: ``math.erf`` over arrays (numpy has no erf)
+_erf = np.vectorize(math.erf, otypes=[float])
 
 
 @dataclass
@@ -71,51 +74,23 @@ class UncertaintyReport:
         return doc
 
 
-def _bounds(x, c1, c2, sigma):
-    """(mu_L, mu_U) of x, elementwise and broadcasting."""
-    d_l, d_u = membership_offsets(x, c1, c2)
-    return gaussian(d_l, sigma), gaussian(d_u, sigma)
+def fou_area(c1, c2, sigma):
+    """Area between the membership bounds over the whole real line.
 
-
-def _fou_areas(c1, c2, sigma, lo, hi, n_points):
-    """Trapezoidal areas between the membership bounds over [lo, hi].
-
-    Elementwise over equally shaped antecedent parameters and window
-    ends; the n_points grid of each window runs along a new last axis.
+    Elementwise over broadcasting antecedent parameters, c1 <= c2.  The
+    upper bound integrates to d + sigma*sqrt(2*pi), with d = c2 - c1;
+    the lower bound to two Gaussian halves that meet at the midpoint.
+    Their difference is d + sigma*sqrt(2*pi)*erf(d / (2*sqrt(2)*sigma)),
+    exactly 0.0 on a collapsed interval.
     """
-    xs = np.linspace(lo, hi, n_points, axis=-1)
-    mu_l, mu_u = _bounds(xs, *(np.expand_dims(a, -1) for a in (c1, c2, sigma)))
-    gap = mu_u - mu_l
-    step = (np.asarray(hi) - lo) / (n_points - 1)
-    return ((gap[..., 0] + gap[..., -1] + 2.0 * gap[..., 1:-1].sum(axis=-1))
-            * 0.5 * step)
-
-
-def fou_area(ant: IT2Antecedent, window: tuple[float, float] | None = None,
-             n_points: int = DEFAULT_FOU_POINTS) -> float:
-    """Trapezoidal area between the membership bounds.
-
-    The default window spans three spreads beyond the uncertain-mean
-    interval on each side, which captures effectively all of both
-    Gaussian tails.
-    """
-    if n_points < 16:
-        raise ValueError("n_points must be >= 16")
-    if window is None:
-        window = (ant.c1 - 3.0 * ant.sigma, ant.c2 + 3.0 * ant.sigma)
-    lo, hi = window
-    if not lo < hi:
-        raise ValueError(f"window must be increasing, got {window}")
-    return float(_fou_areas(ant.c1, ant.c2, ant.sigma, lo, hi, n_points))
+    d = np.subtract(c2, c1)
+    return d + sigma * math.sqrt(2.0 * math.pi) * _erf(
+        d / (2.0 * math.sqrt(2.0) * sigma))
 
 
 def explain_model(rb: RuleBase) -> UncertaintyReport:
-    """Feature- and rule-level uncertainty for every antecedent.
-
-    Each area is ``fou_area`` over its default window.
-    """
-    areas = _fou_areas(rb.c1, rb.c2, rb.sigma, rb.c1 - 3.0 * rb.sigma,
-                       rb.c2 + 3.0 * rb.sigma, DEFAULT_FOU_POINTS)
+    """Feature- and rule-level uncertainty for every antecedent."""
+    areas = fou_area(rb.c1, rb.c2, rb.sigma)
     widths = rb.c2 - rb.c1
     l1 = np.abs(rb.w).sum(axis=1) + np.abs(rb.b)
     per_feature = [FeatureUncertainty(
@@ -172,15 +147,14 @@ def export_rules_text(rb: RuleBase, feature_names: list[str],
     for j in range(rb.n_rules):
         lines.append(f"Rule {j + 1}:")
         for f, name in enumerate(feature_names):
-            ant = rb.antecedent(j, f)
+            c1, c2, sigma = rb.c1[j, f], rb.c2[j, f], rb.sigma[j, f]
             clause = (f"  {'IF ' if f == 0 else 'AND'} {name} is "
-                      f"Gaussian(mean in [{_fmt(ant.c1)}, {_fmt(ant.c2)}], "
-                      f"sigma {_fmt(ant.sigma)})")
+                      f"Gaussian(mean in [{_fmt(c1)}, {_fmt(c2)}], "
+                      f"sigma {_fmt(sigma)})")
             if feature_scalers is not None:
                 sc = feature_scalers[f]
-                lo = sc.inverse(np.float64(ant.c1))
-                hi = sc.inverse(np.float64(ant.c2))
-                sd = ant.sigma * (sc.max - sc.min)
+                lo, hi = sc.inverse(c1), sc.inverse(c2)
+                sd = sigma * (sc.max - sc.min)
                 clause += (f"  [orig: mean in [{_fmt(float(lo))}, "
                            f"{_fmt(float(hi))}], sigma {_fmt(float(sd))}]")
             lines.append(clause)
@@ -227,7 +201,8 @@ def render_rule_svg(rb: RuleBase, rule_index: int,
     los = c1 - 3.0 * sigma
     his = c2 + 3.0 * sigma
     grid = np.linspace(los, his, n_points, axis=-1)
-    mu_l, mu_u = _bounds(grid, c1[:, None], c2[:, None], sigma[:, None])
+    d_l, d_u = membership_offsets(grid, c1[:, None], c2[:, None])
+    mu_l, mu_u = gaussian(d_l, sigma[:, None]), gaussian(d_u, sigma[:, None])
     for f, name in enumerate(feature_names):
         lo, hi, xs = los[f], his[f], grid[f]
         y0 = pad + f * (panel_h + pad)

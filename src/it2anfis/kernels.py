@@ -6,8 +6,8 @@ runtime, so they are written as whole-array numpy expressions.  The
 interval membership of an antecedent is defined in one place:
 ``membership_offsets`` gives each input's offset from the lower and
 upper bounding Gaussians' means and ``gaussian`` turns an offset into a
-membership degree; ``core.membership_bounds`` is the scalar reference.
-The explainer applies both to single antecedents, and the tests use
+membership degree.  The explainer's plots apply both to single
+antecedents, and the tests check them against a scalar reference and use
 them as the broadcast reference of the batch kernels.
 
 The batch kernels run rules-major.  They take each input's offsets
@@ -64,7 +64,10 @@ def membership_offsets(x, c1, c2):
 
 
 def gaussian(d, sigma):
-    """Gaussian membership exp(-(d / sigma)**2 / 2) of an offset d."""
+    """Gaussian membership exp(-(d / sigma)**2 / 2) of an offset d.
+
+    Positive in exact arithmetic, but 0.0 once (d / sigma)**2 / 2 passes
+    about 745, where exp underflows."""
     z = d / sigma
     return np.exp(-0.5 * z * z)
 

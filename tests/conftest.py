@@ -1,8 +1,10 @@
 """Shared fixtures and independent reference oracles.
 
-ref_predict below is a deliberately plain pure-Python re-derivation of
-the inference chain (math module only, no shared code with the
-package), used as the ground truth the fast paths must agree with.
+ref_membership and ref_predict below are a deliberately plain
+pure-Python re-derivation of the membership bounds and the inference
+chain (math module only, no shared code with the package), used as the
+ground truth the fast paths must agree with.  ``bounds`` is the array
+membership that ships, for the tests that check it.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from it2anfis import kernels
 from it2anfis.core import Mode, RuleBase
 from it2anfis.dataset import (Dataset, FeatureScaler, TargetScaler,
                               generate_synthetic, normalize_and_split,
@@ -53,6 +56,12 @@ def ref_membership(c1: float, c2: float, sigma: float,
     else:
         upper = 1.0
     return lower, upper
+
+
+def bounds(x, c1, c2, sigma):
+    """(mu_L, mu_U) by the package's array membership, broadcasting."""
+    d_l, d_u = kernels.membership_offsets(x, c1, c2)
+    return kernels.gaussian(d_l, sigma), kernels.gaussian(d_u, sigma)
 
 
 def ref_predict(c1, c2, sigma, w, b, q, x) -> tuple[float, float, float]:

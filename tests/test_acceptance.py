@@ -19,8 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from it2anfis.core import (IT2Antecedent, Mode, RuleBase, membership_bounds,
-                           predict_arrays)
+from it2anfis.core import Mode, RuleBase, predict_arrays
 from it2anfis.dataset import (RawTable, SyntheticSpec, generate_synthetic,
                               load_csv, normalize_and_split)
 from it2anfis.explainer import explain_instance
@@ -31,7 +30,8 @@ from it2anfis.trainer import (TrainConfig, antecedent_gradients,
 from it2anfis.modelio import load_model, save_model
 from it2anfis.dataset import FeatureScaler, TargetScaler
 
-from conftest import ACCEPTANCE_RESULTS, draw_off_seam, random_rulebase
+from conftest import (ACCEPTANCE_RESULTS, bounds, draw_off_seam,
+                      random_rulebase)
 
 
 def _record(num: int, summary: str, passed: bool, detail: str = "") -> None:
@@ -61,15 +61,9 @@ def test_criterion_01_fou_ordering():
     x = np.where(inside, lo + u * (hi - lo), rng.uniform(-2.0, 2.0, n))
 
     started = time.perf_counter()
-    ordered = True
-    plateau_exact = True
-    for i in range(n):
-        ant = IT2Antecedent(float(lo[i]), float(hi[i]), float(sigma[i]))
-        mu_l, mu_u = membership_bounds(ant, float(x[i]))
-        if not (0.0 <= mu_l <= mu_u <= 1.0):
-            ordered = False
-        if lo[i] <= x[i] <= hi[i] and mu_u != 1.0:
-            plateau_exact = False
+    mu_l, mu_u = bounds(x, lo, hi, sigma)
+    ordered = bool(np.all((0.0 <= mu_l) & (mu_l <= mu_u) & (mu_u <= 1.0)))
+    plateau_exact = bool(np.all(mu_u[(lo <= x) & (x <= hi)] == 1.0))
     elapsed = time.perf_counter() - started
 
     _record(1, summary, ordered and plateau_exact and elapsed < 1.0,

@@ -20,7 +20,8 @@ import pytest
 
 import it2anfis
 from it2anfis import core
-from it2anfis.cli import PREDICTION_COLUMNS, _write_predictions, main
+from it2anfis.cli import (PREDICTION_COLUMNS, _write_predictions,
+                          build_parser, main)
 from it2anfis.dataset import load_csv, normalize_and_split
 
 
@@ -530,3 +531,19 @@ class TestSynthCommand:
             rows = list(csv.reader(handle))
         assert rows[0] == ["x1", "x2", "x3", "x4", "energy_mwh"]
         assert len(rows) == 41
+
+
+class TestParser:
+    def test_built_once_and_reused(self):
+        # main parses every command with one parser; no parse may leak
+        # into the next
+        parser = build_parser()
+        assert build_parser() is parser
+        first = parser.parse_args(["predict", "--model", "m", "--data", "d",
+                                   "--out", "o"])
+        second = parser.parse_args(["evaluate", "--model", "m2", "--data",
+                                    "d2"])
+        assert (first.command, first.model, first.out) == ("predict", "m",
+                                                           "o")
+        assert (second.command, second.model) == ("evaluate", "m2")
+        assert not hasattr(second, "out")

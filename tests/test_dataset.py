@@ -292,12 +292,23 @@ class TestNumpyPathRegressions:
             load_features(path, ["a"])
 
     def test_cell_over_csv_field_limit_fails_as_csv_does(self, tmp_path):
-        path = _write(tmp_path, "d.csv", "a\n1.0000000000\n")
+        # csv's own message, with the file and line named
+        path = _write(tmp_path, "d.csv", "a\n1.0\n1.0000000000\n")
         old = csv.field_size_limit(8)
         try:
-            with pytest.raises(csv.Error, match="field larger than field "
-                                                "limit"):
+            with pytest.raises(ValueError, match=r"d\.csv: line 3: field "
+                                                 r"larger than field limit"):
                 load_features(path, ["a"])
+        finally:
+            csv.field_size_limit(old)
+
+    def test_header_over_csv_field_limit_names_line_one(self, tmp_path):
+        path = _write(tmp_path, "d.csv", "abcdefghijkl\n1.0\n")
+        old = csv.field_size_limit(8)
+        try:
+            with pytest.raises(ValueError, match=r"d\.csv: line 1: field "
+                                                 r"larger than field limit"):
+                load_features(path, ["abcdefghijkl"])
         finally:
             csv.field_size_limit(old)
 

@@ -1,4 +1,4 @@
-"""Uncertainty reports, FOU quadrature, rule text, and SVG output."""
+"""Uncertainty reports, FOU areas, rule text, and SVG output."""
 
 from __future__ import annotations
 
@@ -11,8 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from it2anfis import core, kernels
-from it2anfis.core import (IT2Antecedent, Mode, RuleBase, forward,
-                           predict_arrays)
+from it2anfis.core import Mode, RuleBase, forward, predict_arrays
 from it2anfis.dataset import TargetScaler, inverse_target
 from it2anfis.explainer import (UncertaintyReport, explain_instance,
                                 explain_model, export_rules_text, fou_area,
@@ -34,12 +33,12 @@ def closed_form_area(c1: float, c2: float, sigma: float) -> float:
         math.erf(d / (2.0 * math.sqrt(2.0) * sigma)) + d
 
 
-def dense_trapezoid(ant: IT2Antecedent, lo: float, hi: float,
-                    n: int) -> float:
+def dense_trapezoid(c1: float, c2: float, sigma: float, lo: float,
+                    hi: float, n: int) -> float:
     xs = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
     gaps = []
     for x in xs:
-        mu_l, mu_u = ref_membership(ant.c1, ant.c2, ant.sigma, x)
+        mu_l, mu_u = ref_membership(c1, c2, sigma, x)
         gaps.append(mu_u - mu_l)
     step = (hi - lo) / (n - 1)
     return (gaps[0] + gaps[-1] + 2.0 * sum(gaps[1:-1])) * 0.5 * step
@@ -47,8 +46,9 @@ def dense_trapezoid(ant: IT2Antecedent, lo: float, hi: float,
 
 class TestFouArea:
     def test_collapsed_interval_is_exactly_zero(self):
-        ant = IT2Antecedent(c1=0.4, c2=0.4, sigma=0.2)
-        assert fou_area(ant) == 0.0
+        assert fou_area(0.4, 0.4, 0.2) == 0.0
+        np.testing.assert_array_equal(
+            fou_area(np.full((2, 3), 0.4), np.full((2, 3), 0.4), 0.2), 0.0)
 
     @pytest.mark.parametrize("c1,c2,sigma", [
         (0.2, 0.5, 0.15),
@@ -57,47 +57,25 @@ class TestFouArea:
         (0.45, 0.55, 0.2),
     ])
     def test_matches_dense_quadrature(self, c1, c2, sigma):
-        ant = IT2Antecedent(c1=c1, c2=c2, sigma=sigma)
-        lo = c1 - 3.0 * sigma
-        hi = c2 + 3.0 * sigma
-        oracle = dense_trapezoid(ant, lo, hi, 10_001)
-        assert fou_area(ant) == pytest.approx(oracle, abs=1e-4)
+        # beyond 8 sigma the dropped tail is below 1e-10, so the oracle
+        # measures the full-line area
+        oracle = dense_trapezoid(c1, c2, sigma, c1 - 8.0 * sigma,
+                                 c2 + 8.0 * sigma, 10_001)
+        assert fou_area(c1, c2, sigma) == pytest.approx(oracle, abs=1e-4)
 
-    @pytest.mark.parametrize("c1,c2,sigma", [
-        (0.2, 0.5, 0.15),
-        (0.0, 0.1, 0.3),
-        (-1.0, 1.0, 0.5),
-    ])
-    def test_matches_closed_form_on_wide_window(self, c1, c2, sigma):
-        ant = IT2Antecedent(c1=c1, c2=c2, sigma=sigma)
-        window = (c1 - 8.0 * sigma, c2 + 8.0 * sigma)
-        got = fou_area(ant, window=window, n_points=20_001)
-        assert got == pytest.approx(closed_form_area(c1, c2, sigma),
-                                    rel=1e-6)
-
-    def test_default_window_loses_only_tail_mass(self):
-        ant = IT2Antecedent(c1=0.3, c2=0.6, sigma=0.2)
-        wide = fou_area(ant, window=(-1.3, 2.2), n_points=20_001)
-        assert fou_area(ant, n_points=20_001) == pytest.approx(wide,
-                                                               rel=5e-3)
+    @given(c=st.tuples(st.floats(-1.0, 2.0), st.floats(-1.0, 2.0)),
+           sigma=st.floats(0.05, 0.6))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_closed_form(self, c, sigma):
+        c1, c2 = sorted(c)
+        assert fou_area(c1, c2, sigma) == pytest.approx(
+            closed_form_area(c1, c2, sigma), rel=1e-12)
 
     @given(sigma=st.floats(0.05, 0.5), d=st.floats(0.0, 0.8),
            delta=st.floats(0.05, 0.5))
     @settings(max_examples=40, deadline=None)
     def test_wider_interval_strictly_larger_area(self, sigma, d, delta):
-        window = (-8.0 * sigma, d + delta + 8.0 * sigma)
-        narrow = fou_area(IT2Antecedent(0.0, d, sigma),
-                          window=window, n_points=2001)
-        wide = fou_area(IT2Antecedent(0.0, d + delta, sigma),
-                        window=window, n_points=2001)
-        assert wide > narrow
-
-    def test_rejects_bad_arguments(self):
-        ant = IT2Antecedent(c1=0.2, c2=0.4, sigma=0.1)
-        with pytest.raises(ValueError, match="n_points"):
-            fou_area(ant, n_points=8)
-        with pytest.raises(ValueError, match="window"):
-            fou_area(ant, window=(1.0, 1.0))
+        assert fou_area(0.0, d + delta, sigma) > fou_area(0.0, d, sigma)
 
 
 class TestExplainModel:
@@ -126,8 +104,9 @@ class TestExplainModel:
     def test_areas_match_fou_area(self, rng):
         rb = random_rulebase(rng, 5, 4)
         for e in explain_model(rb).per_feature:
-            ant = rb.antecedent(e.rule_index, e.feature_index)
-            assert e.fou_area == pytest.approx(fou_area(ant), rel=1e-12)
+            j, f = e.rule_index, e.feature_index
+            assert e.fou_area == fou_area(rb.c1[j, f], rb.c2[j, f],
+                                          rb.sigma[j, f])
 
     def test_interval_widths_reported(self, rng):
         rb = random_rulebase(rng, 2, 2)

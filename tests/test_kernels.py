@@ -6,14 +6,8 @@ import numpy as np
 import pytest
 
 from it2anfis import kernels
-from it2anfis.core import IT2Antecedent, membership_bounds
 
-from conftest import random_rulebase
-
-
-def _bounds(x, c1, c2, sigma):
-    d_l, d_u = kernels.membership_offsets(x, c1, c2)
-    return kernels.gaussian(d_l, sigma), kernels.gaussian(d_u, sigma)
+from conftest import bounds, random_rulebase, ref_membership
 
 
 class TestMembership:
@@ -24,9 +18,8 @@ class TestMembership:
         sigma = rng.uniform(0.05, 0.6, n)
         x = rng.uniform(-1.0, 2.0, n)
         x[::4] = 0.5 * (c1[::4] + c2[::4])  # the midpoint tie
-        mu_l, mu_u = _bounds(x, c1, c2, sigma)
-        want = np.array([membership_bounds(IT2Antecedent(*p), v)
-                         for *p, v in zip(c1, c2, sigma, x)])
+        mu_l, mu_u = bounds(x, c1, c2, sigma)
+        want = np.array([ref_membership(*p) for p in zip(c1, c2, sigma, x)])
         # np.exp and math.exp may round the same value 1 ulp apart
         np.testing.assert_array_max_ulp(mu_l, want[:, 0], maxulp=1)
         np.testing.assert_array_max_ulp(mu_u, want[:, 1], maxulp=1)
@@ -36,13 +29,13 @@ class TestMembership:
         c2 = c1 + rng.uniform(0.0, 0.5, 500)
         x = c1 + rng.random(500) * (c2 - c1)
         x[:2], x[-2:] = c1[:2], c2[-2:]
-        _, mu_u = _bounds(x, c1, c2, 0.1)
+        _, mu_u = bounds(x, c1, c2, 0.1)
         assert (mu_u == 1.0).all()
 
     def test_collapsed_antecedent_has_equal_bounds(self, rng):
         c = rng.uniform(0.0, 1.0, 500)
         x = np.concatenate([rng.uniform(-1.0, 2.0, 497), c[497:]])
-        mu_l, mu_u = _bounds(x, c, c, rng.uniform(0.05, 0.6, 500))
+        mu_l, mu_u = bounds(x, c, c, rng.uniform(0.05, 0.6, 500))
         np.testing.assert_array_equal(mu_l, mu_u)
 
 
@@ -64,8 +57,8 @@ class TestFire:
             for n in range(4 * R):
                 for j in range(R):
                     for f in range(F):
-                        ant = IT2Antecedent(c1[j, f], c2[j, f], sigma[j, f])
-                        want[:, n, j] *= membership_bounds(ant, X[n, f])
+                        want[:, n, j] *= ref_membership(
+                            c1[j, f], c2[j, f], sigma[j, f], X[n, f])
             np.testing.assert_allclose(mu_l, want[0], rtol=1e-13, atol=0)
             np.testing.assert_allclose(mu_u, want[1], rtol=1e-13, atol=0)
 
