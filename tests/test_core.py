@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from it2anfis import core, kernels
 from it2anfis.core import Mode, RuleBase, forward, predict_arrays
 
-from conftest import bounds, random_rulebase, ref_predict
+from conftest import bounds, random_rulebase, ref_membership, ref_predict
 
 
 antecedents = st.tuples(
@@ -79,6 +79,15 @@ class TestMembershipBounds:
         max_slope = math.exp(-0.5) / sigma
         jumps = np.abs(np.diff(vals, axis=1)).max()
         assert jumps < 10.0 * step * max_slope
+
+    @settings(max_examples=100, deadline=None)
+    @given(ant=antecedents, x=inputs)
+    def test_matches_reference(self, ant, x):
+        mu_l, mu_u = scalar_bounds(ant, x)
+        want_l, want_u = ref_membership(*ant, x)
+        # np.exp and math.exp may round the same value 1 ulp apart
+        np.testing.assert_array_max_ulp(mu_l, want_l, maxulp=1)
+        np.testing.assert_array_max_ulp(mu_u, want_u, maxulp=1)
 
 
 class TestFire:

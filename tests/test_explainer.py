@@ -63,6 +63,20 @@ class TestFouArea:
                                  c2 + 8.0 * sigma, 10_001)
         assert fou_area(c1, c2, sigma) == pytest.approx(oracle, abs=1e-4)
 
+    @pytest.mark.parametrize("c1,c2,sigma", [
+        (0.2, 0.5, 0.15),
+        (0.0, 0.1, 0.3),
+        (-1.0, 1.0, 0.5),
+    ])
+    def test_matches_closed_form_on_wide_window(self, c1, c2, sigma):
+        # a fine trapezoid over c1 - 8 sigma .. c2 + 8 sigma reaches the
+        # closed form to 1e-6 and agrees with fou_area to the same
+        oracle = dense_trapezoid(c1, c2, sigma, c1 - 8.0 * sigma,
+                                 c2 + 8.0 * sigma, 20_001)
+        assert oracle == pytest.approx(closed_form_area(c1, c2, sigma),
+                                       rel=1e-6)
+        assert fou_area(c1, c2, sigma) == pytest.approx(oracle, rel=1e-6)
+
     @given(c=st.tuples(st.floats(-1.0, 2.0), st.floats(-1.0, 2.0)),
            sigma=st.floats(0.05, 0.6))
     @settings(max_examples=200, deadline=None)
