@@ -9,24 +9,30 @@ outputs are affine in the input; the lower and upper firing strengths
 each produce a crisp output, and a fixed blend factor q mixes the two.
 
 Data is stored as dense per-rule arrays (struct-of-arrays) so batch
-inference runs as whole-array numpy kernels.  The inference chain
-(fire, normalize with the uniform fallback, affine consequents, q blend)
-is written once: ``forward`` fires the rules, or takes strengths the
-caller already holds, and hands them to ``kernels.type_reduce``;
-prediction, both gradients, the q update and the explainer all read its
-result.  ``predict_arrays``, the one row-level inference API, and the
-explainer's instance level run it over row chunks of a fixed byte budget
-(``chunk_rows``), so their memory does not grow with the number of rows.
+inference runs as whole-array numpy kernels.  The inference chain is
+written once: ``strengths`` fires the rules and normalizes their
+strengths with the uniform fallback (``kernels.normalize``), and
+``forward`` reduces the normalized strengths against the affine rule
+outputs and blends the two sides with q (``kernels.reduce``).  The
+normalized strengths change only with the antecedents, so ``forward``
+takes them from a caller that holds them for the current antecedent
+state, as the trainer does for its training split; prediction, both
+gradients, the q update and the explainer all read its result.
+``predict_arrays``, the one row-level inference API, and the
+explainer's instance level run it over row chunks of a fixed byte
+budget (``chunk_rows``), so their memory does not grow with the number
+of rows.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import Reduced, fire as _fire_batch, type_reduce
+from .kernels import Strengths, fire as _fire_batch, normalize, reduce
 
 SIGMA_MIN = 0.05
 #: narrowest interval c2 - c1 that training's constraint repair leaves
@@ -135,19 +141,39 @@ def _as_rows(rb: RuleBase, X: np.ndarray) -> np.ndarray:
     return X
 
 
-def forward(rb: RuleBase, X: np.ndarray, mu=None) -> Reduced:
+class Reduced(NamedTuple):
+    """One batch through the inference chain.
+
+    f_l, f_u are the (N, R) normalized lower and upper strengths; y_l,
+    y_u, y_p the (N,) lower, upper and blended outputs.
+    """
+
+    f_l: np.ndarray
+    f_u: np.ndarray
+    y_l: np.ndarray
+    y_u: np.ndarray
+    y_p: np.ndarray
+
+
+def strengths(rb: RuleBase, X: np.ndarray) -> Strengths:
+    """Fire every rule on the (N, F) inputs and normalize the strengths."""
+    X = _as_rows(rb, X)
+    return normalize(*_fire_batch(X, rb.c1, rb.c2, rb.sigma))
+
+
+def forward(rb: RuleBase, X: np.ndarray, f=None) -> Reduced:
     """Run the inference chain on a batch of rows.
 
-    Fires every rule on the (N, F) inputs, evaluates the affine rule
-    outputs, and returns ``kernels.type_reduce`` of the two: normalized
-    strengths, the interval outputs and their blend.  ``mu``, when
-    given, is the (mu_L, mu_U) pair of raw strengths of these rows under
-    the current antecedents, and replaces the firing.
+    Takes the normalized strengths of the (N, F) inputs, evaluates the
+    affine rule outputs, and reduces and blends the two sides.  ``f``,
+    when given, is the (N, 2, R) normalized strengths of these rows
+    under the current antecedents (``Strengths.f``), and replaces the
+    firing and normalization.
     """
     X = _as_rows(rb, X)
-    mu_l, mu_u = (_fire_batch(X, rb.c1, rb.c2, rb.sigma) if mu is None
-                  else mu)
-    return type_reduce(mu_l, mu_u, X @ rb.w.T + rb.b, rb.q)
+    if f is None:
+        f = strengths(rb, X).f
+    return Reduced(f[:, 0], f[:, 1], *reduce(f, X @ rb.w.T + rb.b, rb.q))
 
 
 def chunk_rows(rb: RuleBase) -> int:

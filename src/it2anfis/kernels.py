@@ -1,4 +1,4 @@
-"""Hot numeric kernels: membership firing and the antecedent gradient.
+"""Hot numeric kernels: firing, normalization, type reduction, gradient.
 
 The inner loops of inference and training (per-sample, per-rule,
 per-feature membership products and chain-rule accumulation) dominate
@@ -24,9 +24,16 @@ except that at a midpoint tie |d_l| may take the other of two offsets
 that differ by an ulp.  ``ant_grads_from`` reuses the strengths through
 d/dc prod_f g_f = (prod_f g_f) * d_f / sigma_f**2 on the active branch,
 so no leave-one-out product is needed, and takes the offsets afresh:
-that costs less than holding two (R, F, N) arrays.  The trainer keeps
-the (mu_L, mu_U) of its training split for each antecedent state;
-``ant_grads`` fires afresh per call.
+that costs less than holding two (R, F, N) arrays.
+
+Normalization (``normalize``: each side's strengths over their row sum,
+with the uniform 1/R fallback) and type reduction (``reduce``: each
+side's strength-weighted rule outputs, then the q blend) are separate
+steps, because the normalized strengths change only with the
+antecedents while the consequents change with every mini-batch.  The
+trainer keeps the ``Strengths`` of its training split, raw and
+normalized, for each antecedent state; ``ant_grads`` fires and
+normalizes afresh per call.
 """
 
 from __future__ import annotations
@@ -138,60 +145,68 @@ def fire(X, c1, c2, sigma):
     return mu[0], mu[1]
 
 
-class Reduced(NamedTuple):
-    """One batch through normalization, type reduction and the q blend.
+class Strengths(NamedTuple):
+    """A batch's firing strengths, raw and normalized.
 
-    f_l, f_u are the (N, R) normalized strengths; y_l, y_u, y_p the (N,)
-    lower, upper and blended outputs; inv_l, inv_u the reciprocal raw
-    strength sums, 0 on rows that took the uniform fallback.
+    mu_l, mu_u are the (N, R) raw strengths; f is the (N, 2, R)
+    normalized pair, f[:, 0] the lower and f[:, 1] the upper side; inv
+    is the (N, 2) reciprocal raw sums, 0 on rows that took the uniform
+    fallback.
     """
 
-    f_l: np.ndarray
-    f_u: np.ndarray
-    y_l: np.ndarray
-    y_u: np.ndarray
-    y_p: np.ndarray
-    inv_l: np.ndarray
-    inv_u: np.ndarray
+    mu_l: np.ndarray
+    mu_u: np.ndarray
+    f: np.ndarray
+    inv: np.ndarray
 
 
-def type_reduce(mu_l, mu_u, yr, q, floor=STRENGTH_FLOOR):
-    """Normalize raw strengths, reduce each side, and blend with q.
+def normalize(mu_l, mu_u, floor=STRENGTH_FLOOR):
+    """Normalize the raw strengths (mu_L, mu_U) of a batch per row.
 
-    mu_l, mu_u are (N, R) raw strengths and yr the (N, R) rule outputs.
-    A row whose raw sum falls below ``floor`` uses the uniform 1/R split
-    instead.  Where the two outputs coincide the shared value is the
-    blend, so a collapsed (type-1) system is bit-for-bit independent of q.
+    A side whose raw sum falls below ``floor`` uses the uniform 1/R
+    split instead.  Returns the ``Strengths`` of the batch.
     """
-    R = mu_l.shape[1]
-    s_l = mu_l.sum(axis=1)
-    s_u = mu_u.sum(axis=1)
-    ok_l = s_l >= floor
-    ok_u = s_u >= floor
-    safe_l = np.where(ok_l, s_l, 1.0)
-    safe_u = np.where(ok_u, s_u, 1.0)
-    f_l = np.where(ok_l[:, None], mu_l / safe_l[:, None], 1.0 / R)
-    f_u = np.where(ok_u[:, None], mu_u / safe_u[:, None], 1.0 / R)
-    y_l = (f_l * yr).sum(axis=1)
-    y_u = (f_u * yr).sum(axis=1)
-    y_p = np.where(y_l == y_u, y_l, q * y_l + (1.0 - q) * y_u)
-    return Reduced(f_l, f_u, y_l, y_u, y_p,
-                   np.where(ok_l, 1.0 / safe_l, 0.0),
-                   np.where(ok_u, 1.0 / safe_u, 0.0))
+    N, R = mu_l.shape
+    s = np.empty((N, 2))
+    np.add.reduce(mu_l, axis=1, out=s[:, 0])
+    np.add.reduce(mu_u, axis=1, out=s[:, 1])
+    # the negated test also sends a NaN sum to the fallback
+    fallback = ~(s >= floor)
+    s[fallback] = 1.0
+    f = np.empty((N, 2, R))
+    np.divide(mu_l, s[:, :1], out=f[:, 0])
+    np.divide(mu_u, s[:, 1:], out=f[:, 1])
+    f[fallback] = 1.0 / R
+    inv = np.divide(1.0, s, out=s)
+    inv[fallback] = 0.0
+    return Strengths(mu_l, mu_u, f, inv)
+
+
+def reduce(f, yr, q):
+    """Reduce each side to its output and blend the two with q.
+
+    f is the (N, 2, R) normalized strengths and yr the (N, R) rule
+    outputs.  Returns the (N,) outputs (y_l, y_u, y_p).  Where the two
+    sides coincide the shared value is the blend, so a collapsed
+    (type-1) system is bit-for-bit independent of q.
+    """
+    y = np.add.reduce(f * yr[:, None, :], axis=2)
+    y_l, y_u = y[:, 0], y[:, 1]
+    return y_l, y_u, np.where(y_l == y_u, y_l, q * y_l + (1.0 - q) * y_u)
 
 
 def ant_grads(X, y, c1, c2, sigma, w, b, q, floor=STRENGTH_FLOOR):
     """Gradients of the half mean-squared error w.r.t. c1 and c2.
 
-    Fires X and hands the strengths to ``ant_grads_from``.
-    Returns (d_c1, d_c2), each (R, F).
+    Fires and normalizes X and hands the strengths to
+    ``ant_grads_from``.  Returns (d_c1, d_c2), each (R, F).
     """
-    return ant_grads_from(fire(X, c1, c2, sigma), X, y, c1, c2, sigma, w,
-                          b, q, floor)
+    return ant_grads_from(normalize(*fire(X, c1, c2, sigma), floor), X, y,
+                          c1, c2, sigma, w, b, q)
 
 
-def ant_grads_from(mu, X, y, c1, c2, sigma, w, b, q, floor=STRENGTH_FLOOR):
-    """``ant_grads`` at the strengths ``mu`` = (mu_L, mu_U) of X.
+def ant_grads_from(st, X, y, c1, c2, sigma, w, b, q):
+    """``ant_grads`` at the ``Strengths`` st of X.
 
     Differentiates the full inference chain (membership bounds, product
     t-norm, normalization, interval outputs, q blend) analytically.
@@ -207,16 +222,15 @@ def ant_grads_from(mu, X, y, c1, c2, sigma, w, b, q, floor=STRENGTH_FLOOR):
     derivative is used.  Returns (d_c1, d_c2), each (R, F).
     """
     N = X.shape[0]
-    mu_l, mu_u = mu
     yr = X @ w.T + b
-    red = type_reduce(mu_l, mu_u, yr, q, floor)
-    e = red.y_p - y
+    y_l, y_u, y_p = reduce(st.f, yr, q)
+    e = y_p - y
 
     # uniform-fallback rows are locally constant in c (inv is 0 there),
     # so they drop out
-    a_l = (q * e * red.inv_l)[:, None] * (yr - red.y_l[:, None]) * mu_l
-    a_u = (((1.0 - q) * e * red.inv_u)[:, None] * (yr - red.y_u[:, None])
-           * mu_u)
+    a_l = (q * e * st.inv[:, 0])[:, None] * (yr - y_l[:, None]) * st.mu_l
+    a_u = (((1.0 - q) * e * st.inv[:, 1])[:, None] * (yr - y_u[:, None])
+           * st.mu_u)
     # (R, 2, N, 1): each rule's lower and upper row weights as columns
     weights = np.stack((a_l.T, a_u.T), axis=1)[..., None]
 

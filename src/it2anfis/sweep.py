@@ -140,8 +140,17 @@ def run_single(raw: RawTable, mode: Mode, rules: int, seed_index: int,
                          status=f"error: {exc}")
 
 
-def _run_cell(args) -> RunResult:
-    return run_single(*args)
+#: the table of this pool worker, set once by ``_init_worker``
+_worker_raw: RawTable | None = None
+
+
+def _init_worker(raw: RawTable) -> None:
+    global _worker_raw
+    _worker_raw = raw
+
+
+def _run_pooled(cell) -> RunResult:
+    return run_single(_worker_raw, *cell)
 
 
 def sweep(raw: RawTable, cfg: SweepConfig,
@@ -151,15 +160,18 @@ def sweep(raw: RawTable, cfg: SweepConfig,
         train_cfg = TrainConfig()
     cfg.validate()
     train_cfg.validate()
-    cells = [(raw, mode, rules, seed_index, cfg, train_cfg)
+    cells = [(mode, rules, seed_index, cfg, train_cfg)
              for mode in cfg.modes
              for rules in cfg.rule_counts
              for seed_index in range(cfg.n_seeds)]
     if cfg.parallelism > 1:
-        with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
-            results = list(pool.map(_run_cell, cells))
+        # each worker receives the table once, not once per cell
+        with ProcessPoolExecutor(max_workers=cfg.parallelism,
+                                 initializer=_init_worker,
+                                 initargs=(raw,)) as pool:
+            results = list(pool.map(_run_pooled, cells))
     else:
-        results = [_run_cell(cell) for cell in cells]
+        results = [run_single(raw, *cell) for cell in cells]
     results.sort(key=lambda r: (r.mode, r.rules, r.seed))
     return results
 

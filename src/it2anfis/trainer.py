@@ -14,11 +14,14 @@ clipped to [-``GRAD_CLIP``, ``GRAD_CLIP``], and repair keeps every
 interval at least ``core.MIN_SEPARATION`` wide.
 
 Only the antecedent update moves the memberships, so ``train`` fires
-the training split (``kernels.fire``) once before the loop and once
-after each antecedent update.  The mini-batch consequent steps, the
-antecedent gradient, the q update and the train error all read that
-one (mu_L, mu_U) pair; each gradient function still fires its own
-when called without it.
+the training split (``kernels.fire``) and normalizes its strengths
+(``kernels.normalize``) once before the loop and once after each
+antecedent update, into one ``kernels.Strengths``.  As in Jang's hybrid
+learning, the premise part is fixed while the consequents learn: the
+mini-batch consequent steps gather their rows of the (N, 2, R)
+normalized strengths, and the antecedent gradient, the q update and the
+train error read the whole of it.  Each gradient function still fires
+and normalizes its own rows when called without them.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .core import MIN_SEPARATION, Mode, RuleBase, forward, predict_arrays
+from .core import (MIN_SEPARATION, Mode, RuleBase, forward, predict_arrays,
+                   strengths)
 from .dataset import Dataset
 
 #: clamps of the consequent and antecedent learning rates
@@ -109,20 +113,23 @@ class TrainState:
 
 
 def consequent_gradients(rb: RuleBase, Xb: np.ndarray, yb: np.ndarray,
-                         mu=None) -> tuple[np.ndarray, np.ndarray]:
+                         f=None) -> tuple[np.ndarray, np.ndarray]:
     """Batch gradients of the half mean-squared error w.r.t. w and b.
 
     d_b[j] = mean_n(e_n * phi_n_j) and d_w[j] = mean_n(e_n * phi_n_j * x_n),
     with e the blended prediction error and phi = q*fbar_L + (1-q)*fbar_U.
-    ``mu``, the batch's (mu_L, mu_U) raw strengths, skips the firing.
+    ``f``, the batch's (B, 2, R) normalized strengths under the current
+    antecedents, skips the firing and normalization.
     """
-    red = forward(rb, Xb, mu)
-    phi = rb.q * red.f_l + (1.0 - rb.q) * red.f_u
+    if f is None:
+        Xb = np.ascontiguousarray(Xb, dtype=np.float64)
+        f = strengths(rb, Xb).f
+    q = rb.q
+    _, _, y_p = kernels.reduce(f, Xb @ rb.w.T + rb.b, q)
+    phi = q * f[:, 0] + (1.0 - q) * f[:, 1]
     B = Xb.shape[0]
-    weights = (red.y_p - yb)[:, None] * phi
-    d_b = weights.mean(axis=0)
-    d_w = weights.T @ Xb / B
-    return d_w, d_b
+    weights = (y_p - yb)[:, None] * phi
+    return weights.T @ Xb / B, np.add.reduce(weights, 0) / B
 
 
 def apply_consequent_update(rb: RuleBase, d_w: np.ndarray, d_b: np.ndarray,
@@ -142,19 +149,18 @@ def apply_consequent_update(rb: RuleBase, d_w: np.ndarray, d_b: np.ndarray,
 
 def antecedent_gradients(rb: RuleBase, X_full: np.ndarray,
                          y_full: np.ndarray,
-                         mu=None) -> tuple[np.ndarray, np.ndarray]:
+                         st=None) -> tuple[np.ndarray, np.ndarray]:
     """Exact full-split gradients of the half-MSE w.r.t. c1 and c2.
 
-    ``mu``, the (mu_L, mu_U) raw strengths of X_full under the current
-    antecedents, skips the firing.
+    ``st``, the ``kernels.Strengths`` of X_full under the current
+    antecedents, skips the firing and normalization.
     """
     X_full = np.ascontiguousarray(X_full, dtype=np.float64)
     y_full = np.ascontiguousarray(y_full, dtype=np.float64)
-    if mu is None:
-        mu = kernels.fire(X_full, rb.c1, rb.c2, rb.sigma)
-    return kernels.ant_grads_from(mu, X_full, y_full, rb.c1, rb.c2,
-                                  rb.sigma, rb.w, rb.b, rb.q,
-                                  kernels.STRENGTH_FLOOR)
+    if st is None:
+        st = strengths(rb, X_full)
+    return kernels.ant_grads_from(st, X_full, y_full, rb.c1, rb.c2,
+                                  rb.sigma, rb.w, rb.b, rb.q)
 
 
 def apply_antecedent_update(rb: RuleBase, d_c1: np.ndarray, d_c2: np.ndarray,
@@ -230,15 +236,14 @@ def _check_finite(rb: RuleBase, epoch: int) -> None:
                 f"at epoch {epoch}")
 
 
-def _mse(rb: RuleBase, X: np.ndarray, y: np.ndarray, mu=None) -> float:
-    y_pred = (predict_arrays(rb, X)[2] if mu is None
-              else forward(rb, X, mu).y_p)
+def _mse(rb: RuleBase, X: np.ndarray, y: np.ndarray, f=None) -> float:
+    y_pred = (predict_arrays(rb, X)[2] if f is None
+              else forward(rb, X, f).y_p)
     return float(np.mean((y_pred - y) ** 2))
 
 
-def _q_gradient(rb: RuleBase, X: np.ndarray, y: np.ndarray,
-                mu=None) -> float:
-    red = forward(rb, X, mu)
+def _q_gradient(rb: RuleBase, X: np.ndarray, y: np.ndarray, f) -> float:
+    red = forward(rb, X, f)
     return float(np.mean((red.y_p - y) * (red.y_l - red.y_u)))
 
 
@@ -268,8 +273,8 @@ def train(rb: RuleBase, data: Dataset, cfg: TrainConfig,
 
     rng = np.random.default_rng(cfg.seed)
     state = TrainState(eta_cons=cfg.eta_cons, eta_ant=cfg.eta_ant)
-    mu = kernels.fire(Xtr, rb.c1, rb.c2, rb.sigma)
-    mse_prev = _mse(rb, Xtr, ytr, mu)
+    st = strengths(rb, Xtr)
+    mse_prev = _mse(rb, Xtr, ytr, st.f)
 
     log_handle = None
     if cfg.log_path is not None:
@@ -284,26 +289,25 @@ def train(rb: RuleBase, data: Dataset, cfg: TrainConfig,
             order = rng.permutation(n_train)
             for start in range(0, n_train, cfg.batch_size):
                 batch = order[start:start + cfg.batch_size]
-                d_w, d_b = consequent_gradients(
-                    rb, Xtr[batch], ytr[batch],
-                    (mu[0][batch], mu[1][batch]))
+                d_w, d_b = consequent_gradients(rb, Xtr[batch], ytr[batch],
+                                                st.f[batch])
                 apply_consequent_update(rb, d_w, d_b, state.eta_cons,
                                         cfg.lambda_l1, cfg.lambda_l2)
 
-            d_c1, d_c2 = antecedent_gradients(rb, Xtr, ytr, mu)
+            d_c1, d_c2 = antecedent_gradients(rb, Xtr, ytr, st)
             # release every reference to the stale strengths before
-            # refiring, so the two (N, R) strength sets never coexist
-            mu = None
+            # refiring, so the two strength sets never coexist
+            st = None
             apply_antecedent_update(rb, d_c1, d_c2, state.eta_ant)
             _check_finite(rb, epoch)
-            mu = kernels.fire(Xtr, rb.c1, rb.c2, rb.sigma)
+            st = strengths(rb, Xtr)
 
             if cfg.learn_q:
                 rb.q = float(np.clip(
-                    rb.q - state.eta_ant * _q_gradient(rb, Xtr, ytr, mu),
+                    rb.q - state.eta_ant * _q_gradient(rb, Xtr, ytr, st.f),
                     0.0, 1.0))
 
-            train_mse = _mse(rb, Xtr, ytr, mu)
+            train_mse = _mse(rb, Xtr, ytr, st.f)
             val_mse = _mse(rb, Xval, yval)
             if not (math.isfinite(train_mse) and math.isfinite(val_mse)):
                 raise TrainingDiverged(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,67 @@ class TestFire:
         assert (mu_u == 1.0).all()
 
 
+_Reduced = namedtuple("_Reduced", "f_l f_u y_l y_u y_p inv_l inv_u")
+
+
+def _reference_type_reduce(mu_l, mu_u, yr, q, floor=kernels.STRENGTH_FLOOR):
+    """Normalization, type reduction and the q blend in one step.
+
+    The kernels split this into ``normalize`` and ``reduce``; together
+    they must reproduce every field bit for bit.
+    """
+    R = mu_l.shape[1]
+    s_l = mu_l.sum(axis=1)
+    s_u = mu_u.sum(axis=1)
+    ok_l = s_l >= floor
+    ok_u = s_u >= floor
+    safe_l = np.where(ok_l, s_l, 1.0)
+    safe_u = np.where(ok_u, s_u, 1.0)
+    f_l = np.where(ok_l[:, None], mu_l / safe_l[:, None], 1.0 / R)
+    f_u = np.where(ok_u[:, None], mu_u / safe_u[:, None], 1.0 / R)
+    y_l = (f_l * yr).sum(axis=1)
+    y_u = (f_u * yr).sum(axis=1)
+    y_p = np.where(y_l == y_u, y_l, q * y_l + (1.0 - q) * y_u)
+    return _Reduced(f_l, f_u, y_l, y_u, y_p,
+                    np.where(ok_l, 1.0 / safe_l, 0.0),
+                    np.where(ok_u, 1.0 / safe_u, 0.0))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestNormalizeReduce:
+    @pytest.mark.parametrize("R", [1, 5, 50])
+    def test_matches_single_step_reference(self, rng, R):
+        N = 300
+        mu_u = rng.random((N, R)) ** 3
+        mu_l = mu_u * rng.random((N, R))
+        mu_l[0] = 0.0  # the lower side alone falls back
+        mu_l[1] = mu_u[1] = 0.0  # both sides fall back
+        mu_l[2] = mu_u[2] = 1e-14  # both sums below the floor
+        mu_l[3] = 0.0
+        mu_l[3, 0] = kernels.STRENGTH_FLOOR  # a sum exactly at the floor
+        # equal sides give y_l == y_u, where the blend is y_l itself
+        mu_l[100:200] = mu_u[100:200]
+        yr = rng.normal(size=(N, R))
+        q = 0.3
+        want = _reference_type_reduce(mu_l, mu_u, yr, q)
+        assert (want.inv_l[:3] == 0.0).all() and want.inv_l[3] > 0.0
+        assert (want.y_l[100:200] == want.y_u[100:200]).all()
+        # one rule normalizes both sides to 1.0 on every row
+        assert (want.y_l[200:] != want.y_u[200:]).all() == (R > 1)
+        st = kernels.normalize(mu_l, mu_u)
+        y_l, y_u, y_p = kernels.reduce(st.f, yr, q)
+        got = _Reduced(st.f[:, 0], st.f[:, 1], y_l, y_u, y_p,
+                       st.inv[:, 0], st.inv[:, 1])
+        for name in _Reduced._fields:
+            np.testing.assert_array_equal(_bits(getattr(got, name)),
+                                          _bits(getattr(want, name)),
+                                          err_msg=name)
+        assert st.mu_l is mu_l and st.mu_u is mu_u
+
+
 def _reference_ant_grads(X, y, c1, c2, sigma, w, b, q,
                          floor=kernels.STRENGTH_FLOOR):
     """The antecedent gradient written out on (N, R, F) offsets.
@@ -136,7 +199,7 @@ def _reference_ant_grads(X, y, c1, c2, sigma, w, b, q,
     mu_l = np.exp(np.einsum("nrf,nrf,rf->nr", d_l, d_l, h))
     mu_u = np.exp(np.einsum("nrf,nrf,rf->nr", d_u, d_u, h))
     yr = X @ w.T + b
-    red = kernels.type_reduce(mu_l, mu_u, yr, q, floor)
+    red = _reference_type_reduce(mu_l, mu_u, yr, q, floor)
     e = red.y_p - y
     a_l = (q * e * red.inv_l)[:, None] * (yr - red.y_l[:, None]) * mu_l
     a_u = (((1.0 - q) * e * red.inv_u)[:, None] * (yr - red.y_u[:, None])

@@ -465,13 +465,24 @@ def _uncached_train(rb, data, cfg):
 
 
 class TestMembershipCache:
-    @pytest.mark.parametrize("mode, learn_q", [(Mode.IT2, True),
-                                               (Mode.TYPE1_ORDER1, False)])
-    def test_train_matches_uncached_loop(self, mode, learn_q):
+    @pytest.mark.parametrize("mode, learn_q, far_rows", [
+        pytest.param(Mode.IT2, True, 0, id="Mode.IT2-True"),
+        pytest.param(Mode.TYPE1_ORDER1, False, 0,
+                     id="Mode.TYPE1_ORDER1-False"),
+        pytest.param(Mode.IT2, True, 5, id="Mode.IT2-True-fallback-rows"),
+    ])
+    def test_train_matches_uncached_loop(self, mode, learn_q, far_rows):
         cfg = TrainConfig(max_epochs=8, patience=50, seed=4, batch_size=32,
                           learn_q=learn_q)
         rb, data = _toy_training_setup(seed=2, n=300, mode=mode, rules=5,
                                        features=3)
+        # training rows far from every rule take the uniform fallback
+        data.X[data.train_idx[:far_rows]] = 60.0
+        if far_rows:
+            mu_l, mu_u = kernels.fire(data.X[data.train_idx], rb.c1, rb.c2,
+                                      rb.sigma)
+            assert (mu_u.sum(axis=1) < kernels.STRENGTH_FLOOR).sum() == \
+                far_rows
         best, state = train(rb.copy(), data, cfg)
         want_best, want_history = _uncached_train(rb, data, cfg)
         for name in ("c1", "c2", "sigma", "w", "b"):
@@ -485,36 +496,43 @@ class TestMembershipCache:
         rb, data = _toy_training_setup(seed=2, n=300, rules=5, features=3)
         n_train, n_val = len(data.train_idx), len(data.val_idx)
         assert n_train != n_val
-        rows = []
-        original = kernels.fire
+        fired, normalized = [], []
 
-        def counting(X, *args):
-            rows.append(X.shape[0])
-            return original(X, *args)
+        def counting(original, rows):
+            def wrapper(mu_or_X, *args):
+                rows.append(mu_or_X.shape[0])
+                return original(mu_or_X, *args)
+            return wrapper
 
-        # the trainer fires through kernels.fire, core.forward through
-        # its own binding of the same function
-        monkeypatch.setattr(kernels, "fire", counting)
-        monkeypatch.setattr(core, "_fire_batch", counting)
+        # patch both the kernels' names and core's bindings of them
+        fire = counting(kernels.fire, fired)
+        normalize = counting(kernels.normalize, normalized)
+        for module, fire_name in ((kernels, "fire"), (core, "_fire_batch")):
+            monkeypatch.setattr(module, fire_name, fire)
+            monkeypatch.setattr(module, "normalize", normalize)
         cfg = TrainConfig(max_epochs=6, patience=50, seed=1, learn_q=True)
         train(rb, data, cfg)
-        assert rows.count(n_train) == cfg.max_epochs + 1
-        # everything else is the validation predict, once per epoch
-        assert sorted(set(rows)) == sorted({n_train, n_val})
+        for rows in (fired, normalized):
+            assert rows.count(n_train) == cfg.max_epochs + 1
+            # everything else is the validation predict, once per epoch
+            assert sorted(set(rows)) == sorted({n_train, n_val})
+        assert fired == normalized
 
     def test_gradients_equal_with_and_without_strengths(self, rng):
         rb = random_rulebase(rng, 6, 4, q=0.4)
         X = rng.uniform(-0.2, 1.2, (90, 4))
         X[7] = 60.0  # a uniform-fallback row
         y = rng.normal(size=90)
-        mu_l, mu_u = kernels.fire(X, rb.c1, rb.c2, rb.sigma)
-        batch = rng.permutation(90)[:32]
+        st = kernels.normalize(*kernels.fire(X, rb.c1, rb.c2, rb.sigma))
+        assert (st.f[7] == 1.0 / 6).all() and (st.inv[7] == 0.0).all()
+        # 32 shuffled rows with the fallback row among them
+        batch = rng.permutation(np.delete(np.arange(90), 7))[:32]
+        batch[rng.integers(32)] = 7
         plain = consequent_gradients(rb, X[batch], y[batch])
-        cached = consequent_gradients(rb, X[batch], y[batch],
-                                      (mu_l[batch], mu_u[batch]))
+        cached = consequent_gradients(rb, X[batch], y[batch], st.f[batch])
         for a, b in zip(plain, cached):
             np.testing.assert_array_equal(a, b)
         plain = antecedent_gradients(rb, X, y)
-        cached = antecedent_gradients(rb, X, y, (mu_l, mu_u))
+        cached = antecedent_gradients(rb, X, y, st)
         for a, b in zip(plain, cached):
             np.testing.assert_array_equal(a, b)
