@@ -1,12 +1,12 @@
 """Interval type-2 neuro-fuzzy regression with explainable intervals.
 
-Public surface: the rule-base core (types plus ``forward`` and
-``predict_arrays``, the one row-level inference API), dataset plumbing,
-the initializer, the trainer, uncertainty explanation, metrics,
-persistence, and the benchmark sweep.
+Public surface: the rule-base core (types plus ``predict_arrays``, the
+one row-level inference API), dataset plumbing, the initializer, the
+trainer, uncertainty explanation, metrics, persistence, and the
+benchmark sweep.
 """
 
-from .core import Mode, RuleBase, forward, predict_arrays
+from .core import Mode, RuleBase, predict_arrays
 from .dataset import (Dataset, FeatureScaler, RawTable, SyntheticSpec,
                       TargetScaler, generate_synthetic, inverse_target,
                       load_csv, normalize_and_split)
@@ -34,8 +34,8 @@ __all__ = [
     "active_backend", "adapt_learning_rates", "antecedent_gradients",
     "apply_antecedent_update", "apply_consequent_update", "build_rulebase",
     "consequent_gradients", "enforce_constraints", "evaluate",
-    "explain_instance", "explain_model", "export_rules_text", "forward",
-    "fou_area", "generate_synthetic", "inverse_target", "lhs_centers",
-    "load_csv", "load_model", "normalize_and_split", "partition_width",
+    "explain_instance", "explain_model", "export_rules_text", "fou_area",
+    "generate_synthetic", "inverse_target", "lhs_centers", "load_csv",
+    "load_model", "normalize_and_split", "partition_width",
     "predict_arrays", "run_seed", "save_model", "sweep", "train",
 ]

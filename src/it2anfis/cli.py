@@ -45,6 +45,10 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
                    help="date column to skip; never a feature")
     p.add_argument("--synthetic", action="store_true",
                    help="generate data instead of reading --data")
+    _add_synth_flags(p)
+
+
+def _add_synth_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--synth-samples", type=int, default=1000)
     p.add_argument("--synth-features", type=int, default=13)
     p.add_argument("--synth-latent-rules", type=int, default=4)
@@ -64,14 +68,16 @@ def _add_optimizer_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lambda-l2", type=float, default=0.001)
 
 
+def _synthetic_spec(args) -> SyntheticSpec:
+    return SyntheticSpec(n_samples=args.synth_samples,
+                         n_features=args.synth_features,
+                         n_latent_rules=args.synth_latent_rules,
+                         noise_std=args.synth_noise, seed=args.seed)
+
+
 def _load_raw(args) -> RawTable:
     if args.synthetic:
-        spec = SyntheticSpec(n_samples=args.synth_samples,
-                             n_features=args.synth_features,
-                             n_latent_rules=args.synth_latent_rules,
-                             noise_std=args.synth_noise,
-                             seed=getattr(args, "seed", 0))
-        return generate_synthetic(spec)
+        return generate_synthetic(_synthetic_spec(args))
     if not args.data:
         raise ValueError("either --data or --synthetic is required")
     return load_csv(args.data, args.target, args.date_col)
@@ -241,11 +247,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    spec = SyntheticSpec(n_samples=args.synth_samples,
-                         n_features=args.synth_features,
-                         n_latent_rules=args.synth_latent_rules,
-                         noise_std=args.synth_noise, seed=args.seed)
-    raw = generate_synthetic(spec)
+    raw = generate_synthetic(_synthetic_spec(args))
     out = Path(args.out or "synthetic.csv")
     with out.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
@@ -323,10 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="write a synthetic CSV")
     p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--synth-samples", type=int, default=1000)
-    p_synth.add_argument("--synth-features", type=int, default=13)
-    p_synth.add_argument("--synth-latent-rules", type=int, default=4)
-    p_synth.add_argument("--synth-noise", type=float, default=0.05)
+    _add_synth_flags(p_synth)
     p_synth.add_argument("--out", help="output CSV (default: "
                                        "synthetic.csv)")
     p_synth.set_defaults(func=cmd_synth)

@@ -12,23 +12,22 @@ Data is stored as dense per-rule arrays (struct-of-arrays) so batch
 inference runs as whole-array numpy kernels.  The inference chain is
 written once: ``strengths`` fires the rules and normalizes their
 strengths with the uniform fallback (``kernels.normalize``), and
-``forward`` reduces the normalized strengths against the affine rule
+``forward`` reduces given normalized strengths against the affine rule
 outputs and blends the two sides with q (``kernels.reduce``).  The
 normalized strengths change only with the antecedents, so ``forward``
-takes them from a caller that holds them for the current antecedent
-state, as the trainer does for its training split; prediction, both
-gradients, the q update and the explainer all read its result.
-``predict_arrays``, the one row-level inference API, and the
-explainer's instance level run it over row chunks of a fixed byte
-budget (``chunk_rows``), so their memory does not grow with the number
-of rows.
+takes them as an argument: the trainer holds them for its training
+split, and ``chunks`` computes them per row chunk for prediction and
+the explainer.  ``chunks`` walks the rows in chunks of a fixed byte
+budget (``chunk_rows``), so the memory of ``predict_arrays``, the one
+row-level inference API, and of the explainer's instance level does
+not grow with the number of rows.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -141,39 +140,23 @@ def _as_rows(rb: RuleBase, X: np.ndarray) -> np.ndarray:
     return X
 
 
-class Reduced(NamedTuple):
-    """One batch through the inference chain.
-
-    f_l, f_u are the (N, R) normalized lower and upper strengths; y_l,
-    y_u, y_p the (N,) lower, upper and blended outputs.
-    """
-
-    f_l: np.ndarray
-    f_u: np.ndarray
-    y_l: np.ndarray
-    y_u: np.ndarray
-    y_p: np.ndarray
-
-
 def strengths(rb: RuleBase, X: np.ndarray) -> Strengths:
     """Fire every rule on the (N, F) inputs and normalize the strengths."""
     X = _as_rows(rb, X)
     return normalize(*_fire_batch(X, rb.c1, rb.c2, rb.sigma))
 
 
-def forward(rb: RuleBase, X: np.ndarray, f=None) -> Reduced:
-    """Run the inference chain on a batch of rows.
+def forward(rb: RuleBase, X: np.ndarray,
+            f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run the inference chain's tail on a batch of rows.
 
-    Takes the normalized strengths of the (N, F) inputs, evaluates the
-    affine rule outputs, and reduces and blends the two sides.  ``f``,
-    when given, is the (N, 2, R) normalized strengths of these rows
-    under the current antecedents (``Strengths.f``), and replaces the
-    firing and normalization.
+    ``f`` is the (N, 2, R) normalized strengths of the (N, F) inputs
+    under the current antecedents (``Strengths.f``).  Evaluates the
+    affine rule outputs, reduces and blends the two sides, and returns
+    the (N,) lower, upper and blended outputs (y_l, y_u, y_p).
     """
     X = _as_rows(rb, X)
-    if f is None:
-        f = strengths(rb, X).f
-    return Reduced(f[:, 0], f[:, 1], *reduce(f, X @ rb.w.T + rb.b, rb.q))
+    return reduce(f, X @ rb.w.T + rb.b, rb.q)
 
 
 def chunk_rows(rb: RuleBase) -> int:
@@ -182,18 +165,31 @@ def chunk_rows(rb: RuleBase) -> int:
     return max(1, PREDICT_CHUNK_BYTES // (8 * rb.n_rules * rb.n_features))
 
 
+def chunks(rb: RuleBase, X: np.ndarray) -> Iterator[
+        tuple[slice, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """Run the inference chain over (N, F) rows, ``chunk_rows`` at a time.
+
+    Rows are independent, so each chunk is fired, normalized and reduced
+    on its own.  Yields the chunk's row slice, its (rows, 2, R)
+    normalized strengths and its (y_l, y_u, y_p) outputs.
+    """
+    X = _as_rows(rb, X)
+    rows = chunk_rows(rb)
+    for lo in range(0, X.shape[0], rows):
+        part = slice(lo, lo + rows)
+        f = strengths(rb, X[part]).f
+        yield part, f, forward(rb, X[part], f)
+
+
 def predict_arrays(rb: RuleBase,
                    X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batch inference returning (y_lower, y_upper, y_pred) arrays.
 
     The one row-level inference API, behind ``predict``, ``evaluate``,
-    validation and the sweep metrics.  Rows are independent, so
-    ``forward`` runs over row chunks of ``chunk_rows`` rows.
+    validation and the sweep metrics, over the row chunks of ``chunks``.
     """
     X = _as_rows(rb, X)
-    rows = chunk_rows(rb)
     out = np.empty((3, X.shape[0]))
-    for lo in range(0, X.shape[0], rows):
-        red = forward(rb, X[lo:lo + rows])
-        out[:, lo:lo + rows] = red.y_l, red.y_u, red.y_p
+    for part, _, y_part in chunks(rb, X):
+        out[:, part] = y_part
     return out[0], out[1], out[2]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RuleBase, _as_rows, chunk_rows, forward
+from .core import RuleBase, _as_rows, chunks
 from .dataset import FeatureScaler, TargetScaler
 from .kernels import gaussian, membership_offsets
 
@@ -112,24 +112,27 @@ def explain_instance(rb: RuleBase, X: np.ndarray,
     ranking): three (N,) arrays in target units, and an (N, R) array
     whose row n lists the rule indices by the mean of the two normalized
     strengths of row n, strongest first, ties in index order.
-    ``forward`` runs once over each of ``predict_arrays``'s row chunks,
-    so the intervals equal its output bit for bit.
+    It walks ``predict_arrays``'s row chunks (``core.chunks``), so the
+    intervals equal its output bit for bit.
     """
     X = _as_rows(rb, X)
-    rows = chunk_rows(rb)
     y = np.empty((3, X.shape[0]))
     ranking = np.empty((X.shape[0], rb.n_rules), dtype=np.intp)
-    for lo in range(0, X.shape[0], rows):
-        red = forward(rb, X[lo:lo + rows])
-        y[:, lo:lo + rows] = red.y_l, red.y_u, red.y_p
-        ranking[lo:lo + rows] = np.argsort(-0.5 * (red.f_l + red.f_u),
-                                           axis=1, kind="stable")
+    for part, f, y_part in chunks(rb, X):
+        y[:, part] = y_part
+        ranking[part] = np.argsort(-0.5 * (f[:, 0] + f[:, 1]), axis=1,
+                                   kind="stable")
     y_l, y_u, y_p = target_scaler.inverse(y)
     return y_l, y_u, y_p, ranking
 
 
 def _fmt(value: float) -> str:
     return f"{value:.6g}"
+
+
+def _check_feature_names(rb: RuleBase, feature_names: list[str]) -> None:
+    if len(feature_names) != rb.n_features:
+        raise ValueError("feature_names arity does not match the rule base")
 
 
 def export_rules_text(rb: RuleBase, feature_names: list[str],
@@ -141,8 +144,7 @@ def export_rules_text(rb: RuleBase, feature_names: list[str],
     normalized units; when scalers are supplied the original-unit
     values are appended alongside.
     """
-    if len(feature_names) != rb.n_features:
-        raise ValueError("feature_names arity does not match the rule base")
+    _check_feature_names(rb, feature_names)
     lines: list[str] = []
     for j in range(rb.n_rules):
         lines.append(f"Rule {j + 1}:")
@@ -186,6 +188,7 @@ def render_rule_svg(rb: RuleBase, rule_index: int,
     """
     if not 0 <= rule_index < rb.n_rules:
         raise ValueError(f"rule_index out of range: {rule_index}")
+    _check_feature_names(rb, feature_names)
     panel_w, panel_h, pad, n_points = 300.0, 110.0, 34.0, 200
     total_w = panel_w + 2 * pad
     total_h = (panel_h + pad) * rb.n_features + pad

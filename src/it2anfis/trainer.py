@@ -20,8 +20,8 @@ antecedent update, into one ``kernels.Strengths``.  As in Jang's hybrid
 learning, the premise part is fixed while the consequents learn: the
 mini-batch consequent steps gather their rows of the (N, 2, R)
 normalized strengths, and the antecedent gradient, the q update and the
-train error read the whole of it.  Each gradient function still fires
-and normalizes its own rows when called without them.
+train error read the whole of it.  Every gradient function takes its
+strengths as an argument; only ``core.strengths`` computes them.
 """
 
 from __future__ import annotations
@@ -113,19 +113,16 @@ class TrainState:
 
 
 def consequent_gradients(rb: RuleBase, Xb: np.ndarray, yb: np.ndarray,
-                         f=None) -> tuple[np.ndarray, np.ndarray]:
+                         f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batch gradients of the half mean-squared error w.r.t. w and b.
 
     d_b[j] = mean_n(e_n * phi_n_j) and d_w[j] = mean_n(e_n * phi_n_j * x_n),
     with e the blended prediction error and phi = q*fbar_L + (1-q)*fbar_U.
-    ``f``, the batch's (B, 2, R) normalized strengths under the current
-    antecedents, skips the firing and normalization.
+    ``f`` is the batch's (B, 2, R) normalized strengths under the
+    current antecedents.
     """
-    if f is None:
-        Xb = np.ascontiguousarray(Xb, dtype=np.float64)
-        f = strengths(rb, Xb).f
     q = rb.q
-    _, _, y_p = kernels.reduce(f, Xb @ rb.w.T + rb.b, q)
+    y_p = forward(rb, Xb, f)[2]
     phi = q * f[:, 0] + (1.0 - q) * f[:, 1]
     B = Xb.shape[0]
     weights = (y_p - yb)[:, None] * phi
@@ -148,17 +145,15 @@ def apply_consequent_update(rb: RuleBase, d_w: np.ndarray, d_b: np.ndarray,
 
 
 def antecedent_gradients(rb: RuleBase, X_full: np.ndarray,
-                         y_full: np.ndarray,
-                         st=None) -> tuple[np.ndarray, np.ndarray]:
+                         y_full: np.ndarray, st: kernels.Strengths
+                         ) -> tuple[np.ndarray, np.ndarray]:
     """Exact full-split gradients of the half-MSE w.r.t. c1 and c2.
 
-    ``st``, the ``kernels.Strengths`` of X_full under the current
-    antecedents, skips the firing and normalization.
+    ``st`` is the ``kernels.Strengths`` of X_full under the current
+    antecedents.
     """
     X_full = np.ascontiguousarray(X_full, dtype=np.float64)
     y_full = np.ascontiguousarray(y_full, dtype=np.float64)
-    if st is None:
-        st = strengths(rb, X_full)
     return kernels.ant_grads_from(st, X_full, y_full, rb.c1, rb.c2,
                                   rb.sigma, rb.w, rb.b, rb.q)
 
@@ -236,15 +231,14 @@ def _check_finite(rb: RuleBase, epoch: int) -> None:
                 f"at epoch {epoch}")
 
 
-def _mse(rb: RuleBase, X: np.ndarray, y: np.ndarray, f=None) -> float:
-    y_pred = (predict_arrays(rb, X)[2] if f is None
-              else forward(rb, X, f).y_p)
+def _mse(y_pred: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean((y_pred - y) ** 2))
 
 
-def _q_gradient(rb: RuleBase, X: np.ndarray, y: np.ndarray, f) -> float:
-    red = forward(rb, X, f)
-    return float(np.mean((red.y_p - y) * (red.y_l - red.y_u)))
+def _q_gradient(rb: RuleBase, X: np.ndarray, y: np.ndarray,
+                f: np.ndarray) -> float:
+    y_l, y_u, y_p = forward(rb, X, f)
+    return float(np.mean((y_p - y) * (y_l - y_u)))
 
 
 def train(rb: RuleBase, data: Dataset, cfg: TrainConfig,
@@ -274,7 +268,7 @@ def train(rb: RuleBase, data: Dataset, cfg: TrainConfig,
     rng = np.random.default_rng(cfg.seed)
     state = TrainState(eta_cons=cfg.eta_cons, eta_ant=cfg.eta_ant)
     st = strengths(rb, Xtr)
-    mse_prev = _mse(rb, Xtr, ytr, st.f)
+    mse_prev = _mse(forward(rb, Xtr, st.f)[2], ytr)
 
     log_handle = None
     if cfg.log_path is not None:
@@ -307,8 +301,8 @@ def train(rb: RuleBase, data: Dataset, cfg: TrainConfig,
                     rb.q - state.eta_ant * _q_gradient(rb, Xtr, ytr, st.f),
                     0.0, 1.0))
 
-            train_mse = _mse(rb, Xtr, ytr, st.f)
-            val_mse = _mse(rb, Xval, yval)
+            train_mse = _mse(forward(rb, Xtr, st.f)[2], ytr)
+            val_mse = _mse(predict_arrays(rb, Xval)[2], yval)
             if not (math.isfinite(train_mse) and math.isfinite(val_mse)):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}: "

@@ -13,9 +13,9 @@ EXPECTED = [
     "active_backend", "adapt_learning_rates", "antecedent_gradients",
     "apply_antecedent_update", "apply_consequent_update", "build_rulebase",
     "consequent_gradients", "enforce_constraints", "evaluate",
-    "explain_instance", "explain_model", "export_rules_text", "forward",
-    "fou_area", "generate_synthetic", "inverse_target", "lhs_centers",
-    "load_csv", "load_model", "normalize_and_split", "partition_width",
+    "explain_instance", "explain_model", "export_rules_text", "fou_area",
+    "generate_synthetic", "inverse_target", "lhs_centers", "load_csv",
+    "load_model", "normalize_and_split", "partition_width",
     "predict_arrays", "run_seed", "save_model", "sweep", "train",
 ]
 

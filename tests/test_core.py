@@ -10,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from it2anfis import core, kernels
-from it2anfis.core import Mode, RuleBase, forward, predict_arrays
+from it2anfis.core import (Mode, RuleBase, forward, predict_arrays,
+                           strengths)
 
 from conftest import bounds, random_rulebase, ref_membership, ref_predict
 
@@ -93,9 +94,9 @@ class TestMembershipBounds:
 class TestFire:
     def test_single_rule_normalizes_to_one(self, rng):
         rb = random_rulebase(rng, 1, 3)
-        red = forward(rb, rng.random((1, 3)))
-        assert red.f_l.tolist() == [[1.0]]
-        assert red.f_u.tolist() == [[1.0]]
+        f = strengths(rb, rng.random((1, 3))).f
+        assert f[:, 0].tolist() == [[1.0]]
+        assert f[:, 1].tolist() == [[1.0]]
 
     def test_collapsed_strengths_coincide(self, rng):
         rb = random_rulebase(rng, 4, 2, mode=Mode.TYPE1_ORDER1)
@@ -107,15 +108,15 @@ class TestFire:
                       c2=np.array([[0.6], [0.8]]),
                       sigma=np.full((2, 1), 0.1),
                       w=np.zeros((2, 1)), b=np.zeros(2))
-        f_u = forward(rb, np.array([[0.3]])).f_u[0]
+        f_u = strengths(rb, np.array([[0.3]])).f[0, 1]
         np.testing.assert_allclose(f_u, [0.98201379, 0.01798621], atol=5e-9)
         assert f_u.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_uniform_fallback_far_from_rules(self, rng):
         rb = random_rulebase(rng, 5, 2)
-        red = forward(rb, np.array([[80.0, -75.0]]))
-        np.testing.assert_array_equal(red.f_l, np.full((1, 5), 0.2))
-        np.testing.assert_array_equal(red.f_u, np.full((1, 5), 0.2))
+        f = strengths(rb, np.array([[80.0, -75.0]])).f
+        np.testing.assert_array_equal(f[:, 0], np.full((1, 5), 0.2))
+        np.testing.assert_array_equal(f[:, 1], np.full((1, 5), 0.2))
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -124,16 +125,19 @@ class TestFire:
         rb = random_rulebase(rng, int(rng.integers(1, 8)),
                              int(rng.integers(1, 5)))
         X = rng.uniform(-1.0, 2.0, (1, rb.n_features))
-        red = forward(rb, X)
-        assert red.f_l.sum() == pytest.approx(1.0, abs=1e-9)
-        assert red.f_u.sum() == pytest.approx(1.0, abs=1e-9)
+        f = strengths(rb, X).f
+        assert f[:, 0].sum() == pytest.approx(1.0, abs=1e-9)
+        assert f[:, 1].sum() == pytest.approx(1.0, abs=1e-9)
         mu_l, mu_u = kernels.fire(X, rb.c1, rb.c2, rb.sigma)
         assert np.all(mu_l <= mu_u + 1e-15)
 
     def test_arity_mismatch_rejected(self, rng):
         rb = random_rulebase(rng, 2, 3)
         with pytest.raises(ValueError, match="arity"):
-            forward(rb, np.zeros((1, 2)))
+            strengths(rb, np.zeros((1, 2)))
+        f = strengths(rb, np.zeros((1, 3))).f
+        with pytest.raises(ValueError, match="arity"):
+            forward(rb, np.zeros((1, 2)), f)
 
 
 def predict_row(rb: RuleBase, x: np.ndarray) -> tuple[float, float, float]:
@@ -222,8 +226,9 @@ class TestPredict:
         rb = RuleBase(c1=np.zeros((1, 1)), c2=np.zeros((1, 1)),
                       sigma=np.ones((1, 1)), w=np.zeros((1, 1)),
                       b=np.array([0.1 + 0.2]), q=0.1)
-        red = forward(rb, np.zeros((1, 1)))
-        assert red.y_l[0] == red.y_u[0] == red.y_p[0] == 0.1 + 0.2
+        X = np.zeros((1, 1))
+        y_l, y_u, y_p = forward(rb, X, strengths(rb, X).f)
+        assert y_l[0] == y_u[0] == y_p[0] == 0.1 + 0.2
 
 
 class TestRuleBaseValidation:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from it2anfis import core, kernels
-from it2anfis.core import Mode, RuleBase, forward, predict_arrays
+from it2anfis.core import Mode, RuleBase, predict_arrays, strengths
 from it2anfis.dataset import TargetScaler, inverse_target
 from it2anfis.explainer import (UncertaintyReport, explain_instance,
                                 explain_model, export_rules_text, fou_area,
@@ -176,10 +176,10 @@ class TestExplainInstance:
         rb = random_rulebase(rng, 5, 2)
         X = rng.random((6, 2))
         ranking = explain_instance(rb, X, target)[3]
-        red = forward(rb, X)
+        f = strengths(rb, X).f
         for n, order in enumerate(ranking):
             assert sorted(order) == list(range(5))
-            scores = 0.5 * (red.f_u[n] + red.f_l[n])[order]
+            scores = 0.5 * (f[n, 1] + f[n, 0])[order]
             assert list(scores) == sorted(scores, reverse=True)
 
     def test_fallback_rows_rank_rules_in_index_order(self, rng,
@@ -311,3 +311,11 @@ class TestRenderRuleSvg:
             render_rule_svg(rb, 2, ["a", "b"])
         with pytest.raises(ValueError, match="rule_index"):
             render_rule_svg(rb, -1, ["a", "b"])
+
+    @pytest.mark.parametrize("names", [["a"], ["a", "b", "c"]])
+    def test_arity_mismatch(self, rng, names):
+        # one panel per feature: too few names drew too few panels, too
+        # many ran off the parameter rows
+        rb = random_rulebase(rng, 2, 2)
+        with pytest.raises(ValueError, match="arity"):
+            render_rule_svg(rb, 0, names)

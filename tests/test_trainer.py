@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from it2anfis import core, kernels
-from it2anfis.core import Mode, RuleBase, predict_arrays
+from it2anfis.core import Mode, RuleBase, predict_arrays, strengths
 from it2anfis.dataset import (SyntheticSpec, generate_synthetic,
                               normalize_and_split)
 from it2anfis.initializer import InitConfig, build_rulebase
@@ -44,7 +44,7 @@ class TestConsequentGradients:
         rb = random_rulebase(rng, 3, 2)
         X = rng.random((6, 2))
         _, _, y = predict_arrays(rb, X)
-        d_w, d_b = consequent_gradients(rb, X, y)
+        d_w, d_b = consequent_gradients(rb, X, y, strengths(rb, X).f)
         np.testing.assert_array_equal(d_w, 0.0)
         np.testing.assert_array_equal(d_b, 0.0)
 
@@ -54,7 +54,7 @@ class TestConsequentGradients:
         X = x.reshape(1, -1)
         _, _, y_pred = predict_arrays(rb, X)
         y = y_pred - 0.3
-        d_w, d_b = consequent_gradients(rb, X, y)
+        d_w, d_b = consequent_gradients(rb, X, y, strengths(rb, X).f)
         assert d_b[0] == pytest.approx(0.3, rel=1e-12)
         np.testing.assert_allclose(d_w[0], 0.3 * x, rtol=1e-12)
 
@@ -64,7 +64,7 @@ class TestConsequentGradients:
         rb = random_rulebase(rng, 3, 2, q=float(rng.uniform(0.2, 0.8)))
         X = rng.uniform(-0.2, 1.2, (4, 2))
         y = rng.normal(size=4)
-        d_w, d_b = consequent_gradients(rb, X, y)
+        d_w, d_b = consequent_gradients(rb, X, y, strengths(rb, X).f)
         for j in range(3):
             fd_b = _fd_gradient(rb, X, y, "b", j)
             assert d_b[j] == pytest.approx(fd_b, rel=1e-6, abs=1e-9)
@@ -112,7 +112,7 @@ class TestApplyConsequentUpdate:
         _, _, y = predict_arrays(rb, X)
         magnitudes = [np.abs(rb.w).sum()]
         for _ in range(5):
-            d_w, d_b = consequent_gradients(rb, X, y)
+            d_w, d_b = consequent_gradients(rb, X, y, strengths(rb, X).f)
             apply_consequent_update(rb, d_w, d_b, eta_cons=0.001,
                                     lambda_l1=0.05, lambda_l2=0.001)
             magnitudes.append(np.abs(rb.w).sum())
@@ -121,7 +121,7 @@ class TestApplyConsequentUpdate:
 
 
 def _assert_matches_fd(rb: RuleBase, X, y) -> None:
-    d_c1, d_c2 = antecedent_gradients(rb, X, y)
+    d_c1, d_c2 = antecedent_gradients(rb, X, y, strengths(rb, X))
     for j, f in np.ndindex(d_c1.shape):
         fd1 = _fd_gradient(rb, X, y, "c1", (j, f))
         fd2 = _fd_gradient(rb, X, y, "c2", (j, f))
@@ -145,7 +145,7 @@ class TestAntecedentGradients:
         rb = random_rulebase(rng, 7, 5, q=0.35)
         X = draw_off_seam(rng, rb, 24)
         y = rng.normal(size=24)
-        d_c1, d_c2 = antecedent_gradients(rb, X, y)
+        d_c1, d_c2 = antecedent_gradients(rb, X, y, strengths(rb, X))
         assert np.abs(d_c1).max() > 1e-4 and np.abs(d_c2).max() > 1e-4
         _assert_matches_fd(rb, X, y)
 
@@ -158,7 +158,7 @@ class TestAntecedentGradients:
                       b=np.array([2.0]))
         X = np.array([[0.5, 0.5]])
         y = np.array([0.0])
-        d_c1, d_c2 = antecedent_gradients(rb, X, y)
+        d_c1, d_c2 = antecedent_gradients(rb, X, y, strengths(rb, X))
         np.testing.assert_array_equal(d_c1, 0.0)
         np.testing.assert_array_equal(d_c2, 0.0)
 
@@ -443,10 +443,12 @@ def _uncached_train(rb, data, cfg):
         order = rng.permutation(Xtr.shape[0])
         for start in range(0, Xtr.shape[0], cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            d_w, d_b = consequent_gradients(rb, Xtr[batch], ytr[batch])
+            Xb = Xtr[batch]
+            d_w, d_b = consequent_gradients(rb, Xb, ytr[batch],
+                                            strengths(rb, Xb).f)
             apply_consequent_update(rb, d_w, d_b, state.eta_cons,
                                     cfg.lambda_l1, cfg.lambda_l2)
-        d_c1, d_c2 = antecedent_gradients(rb, Xtr, ytr)
+        d_c1, d_c2 = antecedent_gradients(rb, Xtr, ytr, strengths(rb, Xtr))
         apply_antecedent_update(rb, d_c1, d_c2, state.eta_ant)
         if cfg.learn_q:
             y_l, y_u, y_p = predict_arrays(rb, Xtr)
@@ -528,11 +530,13 @@ class TestMembershipCache:
         # 32 shuffled rows with the fallback row among them
         batch = rng.permutation(np.delete(np.arange(90), 7))[:32]
         batch[rng.integers(32)] = 7
-        plain = consequent_gradients(rb, X[batch], y[batch])
+        # the plain side fires its rows afresh
+        plain = consequent_gradients(rb, X[batch], y[batch],
+                                     strengths(rb, X[batch]).f)
         cached = consequent_gradients(rb, X[batch], y[batch], st.f[batch])
         for a, b in zip(plain, cached):
             np.testing.assert_array_equal(a, b)
-        plain = antecedent_gradients(rb, X, y)
+        plain = antecedent_gradients(rb, X, y, strengths(rb, X))
         cached = antecedent_gradients(rb, X, y, st)
         for a, b in zip(plain, cached):
             np.testing.assert_array_equal(a, b)
