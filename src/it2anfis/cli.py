@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .core import predict_arrays
+from .core import Mode, predict_arrays
 from .dataset import (FeatureScaler, RawTable, SyntheticSpec,
                       generate_synthetic, inverse_target, load_csv,
                       load_features, normalize_and_split)
@@ -214,13 +214,30 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    raw = _load_raw(args)
+def _sweep_grid(args) -> tuple[tuple[int, ...], tuple[Mode, ...]]:
+    """The rule counts and modes a sweep's flags name, token by token."""
     if args.rules_list:
-        rule_counts = tuple(int(tok) for tok in args.rules_list.split(","))
+        rule_counts = []
+        for tok in args.rules_list.split(","):
+            try:
+                rule_counts.append(int(tok))
+            except ValueError:
+                raise ValueError(f"--rules-list: {tok!r} is not an "
+                                 f"integer") from None
     else:
-        rule_counts = tuple(range(args.rules_min, args.rules_max + 1))
-    modes = tuple(LABEL_MODES[tok] for tok in args.modes.split(","))
+        rule_counts = range(args.rules_min, args.rules_max + 1)
+    modes = []
+    for tok in args.modes.split(","):
+        if tok not in LABEL_MODES:
+            raise ValueError(f"--modes: unknown mode {tok!r}; valid modes "
+                             f"are {', '.join(LABEL_MODES)}")
+        modes.append(LABEL_MODES[tok])
+    return tuple(rule_counts), tuple(modes)
+
+
+def cmd_sweep(args) -> int:
+    rule_counts, modes = _sweep_grid(args)
+    raw = _load_raw(args)
     cfg = SweepConfig(rule_counts=rule_counts, n_seeds=args.seeds,
                       modes=modes, parallelism=args.parallelism,
                       seed_base=args.seed, alpha=args.alpha, q=args.q)

@@ -17,9 +17,14 @@ rather than the F features, a block's temporaries stay within
 ``RULE_BLOCK_BYTES``, and no kernel picks between a and b with a
 data-dependent ``np.where``.  A rule's firing strength is a product of
 Gaussians, so ``fire`` takes it in log space from the offsets' sizes
-alone, |d_l| = max(a, -b) and |d_u| = -min(a, -b, 0), squared and summed
-over features in feature order with one ``exp`` per (row, rule).
-These equal ``membership_offsets``'s d_l and d_u in size bit for bit,
+alone, |d_l| = max(a, -b) and |d_u| = -min(a, -b, 0), squared, scaled
+by -1 / (2 sigma**2), summed over features and exponentiated once per
+(row, rule).  The sum is one ``np.add.reduce`` over the feature axis per
+rule block; its inner loop runs over the rows, so every row adds its
+features one at a time in feature order and rounds the same way in any
+batch.  A lone row is fired as a two-row batch, because numpy would drop
+its length-1 row axis and sum the features pairwise.  |d_l| and |d_u|
+equal the sizes of ``membership_offsets``'s d_l and d_u bit for bit,
 except that at a midpoint tie |d_l| may take the other of two offsets
 that differ by an ulp.  ``ant_grads_from`` reuses the strengths through
 d/dc prod_f g_f = (prod_f g_f) * d_f / sigma_f**2 on the active branch,
@@ -49,7 +54,9 @@ STRENGTH_FLOOR = 1e-12
 #: bytes of one (rules, F, N) float64 temporary per rule block of
 #: ``fire`` and ``ant_grads_from``, so that a block's half-dozen
 #: temporaries stay in a 2 MiB L2 cache; at F = 13 a block is one rule
-#: from N = 1261 rows up (a block never holds less than one rule)
+#: from N = 1261 rows up (a block never holds less than one rule).
+#: 2**17 to 2**20 were timed at R = 7 and 50: none was faster in both
+#: kernels
 RULE_BLOCK_BYTES = 2**18
 
 
@@ -121,11 +128,16 @@ def fire(X, c1, c2, sigma):
     """
     XT = _columns(X)
     (F, N), R = XT.shape, c1.shape[0]
-    step = _block_rules(R, F, N)
+    if N == 1:
+        # numpy drops a length-1 row axis from the feature sum below and
+        # would sum the features pairwise; as a two-row batch the rows
+        # stay its inner loop
+        XT = np.repeat(XT, 2, axis=1)
+    step = _block_rules(R, F, XT.shape[1])
     h = (-0.5 / (sigma * sigma))[:, :, None]
-    d = np.empty((2, step, F, N))
+    d = np.empty((2, step, *XT.shape))
     # per side, rules-major: the summed (d / sigma)**2 / -2
-    z = np.empty((2, R, N))
+    z = np.empty((2, R, XT.shape[1]))
     for rules, a, nb in _offset_blocks(XT, c1, c2, step):
         d_r = d[:, :a.shape[0]]
         # |d_l| = max(|a|, |b|) = max(a, -b): the farther mean's offset
@@ -135,13 +147,13 @@ def fire(X, c1, c2, sigma):
         np.minimum(d_r[1], 0.0, out=d_r[1])
         np.square(d_r, out=d_r)
         d_r *= h[rules]
-        # feature order, one slice at a time: a fixed rounding per row
-        z_r = z[:, rules]
-        z_r[...] = d_r[:, :, 0]
-        for f in range(1, F):
-            z_r += d_r[:, :, f]
-    np.exp(z, out=z)
-    mu = z.transpose(0, 2, 1).copy()
+        # the rows are the inner loop, so each row adds its features one
+        # at a time in feature order: a fixed rounding per row
+        np.add.reduce(d_r, axis=2, out=z[:, rules])
+    # exponentiate into the (2, N, R) result as it is transposed: at
+    # R = 50 that is several times faster than a transposing copy
+    mu = np.empty((2, N, R))
+    np.exp(z[:, :, :N].transpose(0, 2, 1), out=mu)
     return mu[0], mu[1]
 
 
@@ -226,13 +238,17 @@ def ant_grads_from(st, X, y, c1, c2, sigma, w, b, q):
     y_l, y_u, y_p = reduce(st.f, yr, q)
     e = y_p - y
 
+    # each rule's lower and upper row weights, rules-major:
+    # (c e inv (y_r - y_side)) mu_side, with c = q below and 1 - q above;
     # uniform-fallback rows are locally constant in c (inv is 0 there),
     # so they drop out
-    a_l = (q * e * st.inv[:, 0])[:, None] * (yr - y_l[:, None]) * st.mu_l
-    a_u = (((1.0 - q) * e * st.inv[:, 1])[:, None] * (yr - y_u[:, None])
-           * st.mu_u)
-    # (R, 2, N, 1): each rule's lower and upper row weights as columns
-    weights = np.stack((a_l.T, a_u.T), axis=1)[..., None]
+    weights = np.empty((yr.shape[1], 2, N))
+    for side, c, y_side, mu in ((0, q, y_l, st.mu_l),
+                                (1, 1.0 - q, y_u, st.mu_u)):
+        w_s = weights[:, side]
+        np.subtract(yr.T, y_side, out=w_s)
+        w_s *= c * e * st.inv[:, side]
+        w_s *= mu.T
 
     XT = _columns(X)
     R, F = c1.shape
@@ -254,7 +270,7 @@ def ant_grads_from(st, X, y, c1, c2, sigma, w, b, q):
         np.multiply(nb, mask, out=t[:, 0, F:])
         np.minimum(a, 0.0, out=t[:, 1, :F])
         np.minimum(nb, 0.0, out=t[:, 1, F:])
-        np.matmul(t, weights[rules], out=d_c[rules])
+        np.matmul(t, weights[rules, :, :, None], out=d_c[rules])
     d_c = d_c[:, 0, :, 0] + d_c[:, 1, :, 0]
     scale = 1.0 / (sigma * sigma * N)
     return d_c[:, :F] * scale, -d_c[:, F:] * scale

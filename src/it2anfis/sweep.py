@@ -59,6 +59,13 @@ class SweepConfig:
                              f"would give two cells the same seed")
         if not self.modes:
             raise ValueError("at least one mode is required")
+        labels = [MODE_LABELS.get(m, m) for m in self.modes]
+        for name, values in (("rule_counts", list(self.rule_counts)),
+                             ("modes", labels)):
+            repeated = [v for k, v in enumerate(values) if v in values[:k]]
+            if repeated:
+                raise ValueError(f"{name} repeats {repeated[0]!r}: every "
+                                 f"grid cell must be distinct")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
         # the checks every cell's rule base would otherwise fail

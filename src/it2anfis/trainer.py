@@ -17,11 +17,12 @@ Only the antecedent update moves the memberships, so ``train`` fires
 the training split (``kernels.fire``) and normalizes its strengths
 (``kernels.normalize``) once before the loop and once after each
 antecedent update, into one ``kernels.Strengths``.  As in Jang's hybrid
-learning, the premise part is fixed while the consequents learn: the
-mini-batch consequent steps gather their rows of the (N, 2, R)
-normalized strengths, and the antecedent gradient, the q update and the
-train error read the whole of it.  Every gradient function takes its
-strengths as an argument; only ``core.strengths`` computes them.
+learning, the premise part is fixed while the consequents learn: each
+epoch gathers its shuffled rows of the (N, 2, R) normalized strengths
+once and the mini-batch consequent steps read slices of them, and the
+antecedent gradient, the q update and the train error read the whole of
+it.  Every gradient function takes its strengths as an argument; only
+``core.strengths`` computes them.
 """
 
 from __future__ import annotations
@@ -134,11 +135,15 @@ def apply_consequent_update(rb: RuleBase, d_w: np.ndarray, d_b: np.ndarray,
                             lambda_l2: float) -> RuleBase:
     """Regularized descent step on the consequents, in place.
 
-    Each parameter moves by -eta * (grad + l2 * value + l1 * sign(value))
-    with sign(0) = 0.  Order-0 mode keeps every slope pinned at zero.
+    Each parameter moves by -eta * ((grad + l2 * value) + l1 * sign(value))
+    with sign(0) = 0, in that order.  Order-0 mode keeps every slope
+    pinned at zero.
     """
-    rb.w -= eta_cons * (d_w + lambda_l2 * rb.w + lambda_l1 * np.sign(rb.w))
-    rb.b -= eta_cons * (d_b + lambda_l2 * rb.b + lambda_l1 * np.sign(rb.b))
+    for value, grad in ((rb.w, d_w), (rb.b, d_b)):
+        step = grad + lambda_l2 * value
+        step += lambda_l1 * np.sign(value)
+        step *= eta_cons
+        value -= step
     if rb.mode is Mode.TYPE1_ORDER0:
         rb.w[:] = 0.0
     return rb
@@ -280,13 +285,17 @@ def train(rb: RuleBase, data: Dataset, cfg: TrainConfig,
             eta_cons_used = state.eta_cons
             eta_ant_used = state.eta_ant
 
+            # gather the epoch's shuffled rows once; each batch is a slice
             order = rng.permutation(n_train)
+            X_o, y_o, f_o = Xtr[order], ytr[order], st.f[order]
             for start in range(0, n_train, cfg.batch_size):
-                batch = order[start:start + cfg.batch_size]
-                d_w, d_b = consequent_gradients(rb, Xtr[batch], ytr[batch],
-                                                st.f[batch])
+                batch = slice(start, start + cfg.batch_size)
+                d_w, d_b = consequent_gradients(rb, X_o[batch], y_o[batch],
+                                                f_o[batch])
                 apply_consequent_update(rb, d_w, d_b, state.eta_cons,
                                         cfg.lambda_l1, cfg.lambda_l2)
+            # drop the gathered copies before the full-split passes
+            X_o = y_o = f_o = None
 
             d_c1, d_c2 = antecedent_gradients(rb, Xtr, ytr, st)
             # release every reference to the stale strengths before

@@ -445,6 +445,27 @@ class TestSweepCommand:
         assert code == 1
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid, message", [
+        (["--rules-list", "3,3", "--modes", "it2,it2"],
+         "rule_counts repeats 3: every grid cell must be distinct"),
+        (["--rules-list", "3", "--modes", "it2,anfis1,it2"],
+         "modes repeats 'it2': every grid cell must be distinct"),
+        (["--rules-list", "3", "--modes", "it2,anfis2"],
+         "--modes: unknown mode 'anfis2'; valid modes are it2, anfis0, "
+         "anfis1"),
+        (["--rules-list", "3,,4"], "--rules-list: '' is not an integer"),
+        (["--rules-list", "3,x"], "--rules-list: 'x' is not an integer"),
+    ], ids=["repeated-rules", "repeated-mode", "unknown-mode",
+            "empty-rule-count", "non-integer-rule-count"])
+    def test_bad_grid_names_flag_and_token(self, workspace, capsys, grid,
+                                           message):
+        out = workspace["root"] / "grid.csv"
+        code = main(["sweep", "--data", str(workspace["data"]), "--seeds",
+                     "1", "--max-epochs", "1", "--out", str(out), *grid])
+        assert code == 1
+        assert capsys.readouterr().err.strip() == f"error: {message}"
+        assert not out.exists()
+
     def test_too_many_seeds_fails(self, workspace, capsys):
         out = workspace["root"] / "many.csv"
         code = main(["sweep", "--data", str(workspace["data"]),

@@ -46,7 +46,54 @@ def _rule_base(rng, R, F):
     return c[0], c[1], rng.uniform(0.2, 0.6, (R, F))
 
 
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _reference_fire(X, c1, c2, sigma):
+    """``fire`` summing the features with one slice add per feature.
+
+    Holds every rule's offsets at once and adds feature f + 1 to the
+    running sum of features 0..f, row by row; ``fire``'s one reduction
+    over the feature axis must round every row exactly as this does.
+    """
+    XT = np.ascontiguousarray(X.T)
+    a = XT - c1[:, :, None]
+    nb = c2[:, :, None] - XT
+    d = np.stack((np.maximum(a, nb), np.minimum(np.minimum(a, nb), 0.0)))
+    np.square(d, out=d)
+    d *= (-0.5 / (sigma * sigma))[:, :, None]
+    z = d[:, :, 0].copy()
+    for f in range(1, X.shape[1]):
+        z += d[:, :, f]
+    mu = np.exp(z).transpose(0, 2, 1).copy()
+    return mu[0], mu[1]
+
+
 class TestFire:
+    @pytest.mark.parametrize("R", [1, 5, 50])
+    def test_feature_sum_order_matches_slice_loop(self, rng, R):
+        # a lone row is the case where numpy would sum the features
+        # pairwise; the others cover row counts around its unrolled
+        # loops' widths and the trainer's split sizes
+        F = 13
+        c1, c2, sigma = _rule_base(rng, R, F)
+        X = rng.uniform(-0.2, 1.2, (1280, F))
+        for n in range(0, 1280, 3):  # midpoint ties on trailing features
+            X[n, n % F:] = 0.5 * (c1[n % R, n % F:] + c2[n % R, n % F:])
+        for n in range(1, 1280, 11):  # on rule n % R's plateau
+            X[n] = c1[n % R] + 0.5 * (c2[n % R] - c1[n % R])
+        X[2::13] += 60.0  # past exp's underflow on every rule
+        mu_l, mu_u = _reference_fire(X, c1, c2, sigma)
+        assert (mu_u == 1.0).sum() >= 100
+        assert (mu_l[2::13] == 0.0).all() and (mu_u[2::13] == 0.0).all()
+        for N in (1, 2, 3, 7, 8, 9, 64, 360, 1280):
+            for rows in (np.arange(N), rng.choice(1280, N, replace=False)):
+                got = kernels.fire(X[rows], c1, c2, sigma)
+                want = _reference_fire(X[rows], c1, c2, sigma)
+                for g, w in zip(got, want):
+                    np.testing.assert_array_equal(_bits(g), _bits(w))
+
     def test_is_product_of_scalar_bounds(self, rng):
         for R, F in [(1, 1), (3, 2), (6, 4), (5, 9)]:
             c1, c2, sigma = _rule_base(rng, R, F)
@@ -148,10 +195,6 @@ def _reference_type_reduce(mu_l, mu_u, yr, q, floor=kernels.STRENGTH_FLOOR):
     return _Reduced(f_l, f_u, y_l, y_u, y_p,
                     np.where(ok_l, 1.0 / safe_l, 0.0),
                     np.where(ok_u, 1.0 / safe_u, 0.0))
-
-
-def _bits(a):
-    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
 
 class TestNormalizeReduce:

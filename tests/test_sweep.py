@@ -122,6 +122,17 @@ class TestSweepGrid:
         with pytest.raises(ValueError):
             SweepConfig(parallelism=0).validate()
 
+    @pytest.mark.parametrize("grid, message", [
+        (dict(rule_counts=(3, 4, 3)), "rule_counts repeats 3"),
+        (dict(modes=(Mode.IT2, Mode.TYPE1_ORDER1, Mode.IT2)),
+         "modes repeats 'it2'"),
+    ], ids=["rules", "mode"])
+    def test_repeated_grid_cell_rejected(self, grid, message):
+        # a repeated rule count or mode would train the same cells twice
+        # and write duplicate rows
+        with pytest.raises(ValueError, match=message):
+            SweepConfig(**grid).validate()
+
     def test_seed_count_capped_where_run_seeds_stay_distinct(self):
         SweepConfig(n_seeds=100).validate()
         # index 100 of R would reuse index 0 of R + 1: run_seed(0, 5, 100)

@@ -99,6 +99,23 @@ class TestApplyConsequentUpdate:
                                 lambda_l2=0.001)
         assert rb.w[0, 0] == pytest.approx(0.99949, abs=1e-12)
 
+    def test_matches_one_expression_step(self, rng):
+        # the step runs in place but must round as the written-out rule
+        rb = random_rulebase(rng, 5, 3)
+        rb.w[0] = 0.0
+        d_w, d_b = rng.normal(size=(5, 3)), rng.normal(size=5)
+        eta, l1, l2 = 0.01, 0.05, 0.001
+        want_w = rb.w - eta * (d_w + l2 * rb.w + l1 * np.sign(rb.w))
+        want_b = rb.b - eta * (d_b + l2 * rb.b + l1 * np.sign(rb.b))
+        grads = d_w.copy(), d_b.copy()
+        apply_consequent_update(rb, d_w, d_b, eta, l1, l2)
+        np.testing.assert_array_equal(rb.w.view(np.uint64),
+                                      want_w.view(np.uint64))
+        np.testing.assert_array_equal(rb.b.view(np.uint64),
+                                      want_b.view(np.uint64))
+        np.testing.assert_array_equal(d_w, grads[0])
+        np.testing.assert_array_equal(d_b, grads[1])
+
     def test_order0_slopes_stay_masked(self, rng):
         rb = random_rulebase(rng, 2, 3, mode=Mode.TYPE1_ORDER0)
         apply_consequent_update(rb, np.full((2, 3), 0.5), np.zeros(2),
