@@ -40,8 +40,11 @@ MIN_SEPARATION = 0.05
 #: offsets and the affine consequents of inputs near [0, 1] stay finite
 PARAM_LIMIT = 1e150
 
-#: bytes of a (rows, R, F) float64 array, which sets the rows per
-#: inference chunk (``chunk_rows``): 806 rows at R=50, F=13
+#: sets the rows per inference chunk (``chunk_rows``) to those whose
+#: rows x R x F float64s fill it: 806 rows at R=50, F=13.  Inference
+#: builds no (rows, R, F) array; the budget bounds a chunk's
+#: temporaries, which ``predict_arrays`` traces at about 3.1 MB above
+#: its output at that size
 PREDICT_CHUNK_BYTES = 4 * 2**20
 
 
@@ -160,8 +163,8 @@ def forward(rb: RuleBase, X: np.ndarray,
 
 
 def chunk_rows(rb: RuleBase) -> int:
-    """Rows per inference chunk: a (rows, R, F) float64 array of that
-    many rows fits in ``PREDICT_CHUNK_BYTES``."""
+    """Rows per inference chunk: ``PREDICT_CHUNK_BYTES`` over the 8 R F
+    bytes of a row's R x F float64s."""
     return max(1, PREDICT_CHUNK_BYTES // (8 * rb.n_rules * rb.n_features))
 
 

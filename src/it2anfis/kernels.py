@@ -31,6 +31,20 @@ d/dc prod_f g_f = (prod_f g_f) * d_f / sigma_f**2 on the active branch,
 so no leave-one-out product is needed, and takes the offsets afresh:
 that costs less than holding two (R, F, N) arrays.
 
+The block loops of both kernels, and ``ant_grads_from``'s row weights,
+run with numpy's ufunc buffer capped at the row count from 128 rows up
+(``_row_loops``).
+Their ufuncs broadcast a per-(rule, feature) constant along the rows
+(``x - c1``, ``c2 - x``, ``d *= h``, ``XT > mid``), and numpy's buffered
+iteration takes such a loop at about 1 ns per element once its buffer
+(8192 elements by default) holds more than about two rows, against
+0.3-0.5 ns with at most one row: at N = 1280 a broadcast subtract over
+one rule block takes 17-20 us against 5-8 us.  Elementwise results do
+not depend on the buffer size, and the feature sum keeps the rows as its
+inner loop, so the output is the same bit for bit.  ``normalize`` and
+``reduce`` stay outside: their inner axis is the R rules, and a buffer
+of N elements makes them slower.
+
 Normalization (``normalize``: each side's strengths over their row sum,
 with the uniform 1/R fallback) and type reduction (``reduce``: each
 side's strength-weighted rule outputs, then the q blend) are separate
@@ -43,6 +57,7 @@ normalizes afresh per call.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import NamedTuple
 
 import numpy as np
@@ -55,8 +70,8 @@ STRENGTH_FLOOR = 1e-12
 #: ``fire`` and ``ant_grads_from``, so that a block's half-dozen
 #: temporaries stay in a 2 MiB L2 cache; at F = 13 a block is one rule
 #: from N = 1261 rows up (a block never holds less than one rule).
-#: 2**17 to 2**20 were timed at R = 7 and 50: none was faster in both
-#: kernels
+#: 2**17 to 2**20 were timed at R = 7 and 50, also with the row loops
+#: capped: none was faster in both kernels
 RULE_BLOCK_BYTES = 2**18
 
 
@@ -94,6 +109,25 @@ def _columns(X):
 def _block_rules(R, F, N):
     """Rules per block: ``RULE_BLOCK_BYTES`` // (8 F N), from 1 to R."""
     return min(R, max(1, RULE_BLOCK_BYTES // (8 * F * max(N, 1))))
+
+
+@contextmanager
+def _row_loops(N):
+    """Run the block below with numpy's ufunc buffer capped at N rows.
+
+    Below 128 rows the buffer is left as it is: there the extra inner
+    loop calls of a one-row buffer cost more than they save.  The cap is
+    a multiple of 16, as numpy asks, and never above the caller's size,
+    which comes back on the way out, exception or not.
+    """
+    if N < 128:
+        yield
+        return
+    old = np.setbufsize(min(np.getbufsize(), N // 16 * 16))
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
 
 
 def _offset_blocks(XT, c1, c2, step):
@@ -138,18 +172,19 @@ def fire(X, c1, c2, sigma):
     d = np.empty((2, step, *XT.shape))
     # per side, rules-major: the summed (d / sigma)**2 / -2
     z = np.empty((2, R, XT.shape[1]))
-    for rules, a, nb in _offset_blocks(XT, c1, c2, step):
-        d_r = d[:, :a.shape[0]]
-        # |d_l| = max(|a|, |b|) = max(a, -b): the farther mean's offset
-        np.maximum(a, nb, out=d_r[0])
-        # |d_u| = -min(a, -b, 0): the nearer one's, 0 on the plateau
-        np.minimum(a, nb, out=d_r[1])
-        np.minimum(d_r[1], 0.0, out=d_r[1])
-        np.square(d_r, out=d_r)
-        d_r *= h[rules]
-        # the rows are the inner loop, so each row adds its features one
-        # at a time in feature order: a fixed rounding per row
-        np.add.reduce(d_r, axis=2, out=z[:, rules])
+    with _row_loops(XT.shape[1]):
+        for rules, a, nb in _offset_blocks(XT, c1, c2, step):
+            d_r = d[:, :a.shape[0]]
+            # |d_l| = max(|a|, |b|) = max(a, -b): the farther mean's offset
+            np.maximum(a, nb, out=d_r[0])
+            # |d_u| = -min(a, -b, 0): the nearer one's, 0 on the plateau
+            np.minimum(a, nb, out=d_r[1])
+            np.minimum(d_r[1], 0.0, out=d_r[1])
+            np.square(d_r, out=d_r)
+            d_r *= h[rules]
+            # the rows are the inner loop, so each row adds its features
+            # one at a time in feature order: a fixed rounding per row
+            np.add.reduce(d_r, axis=2, out=z[:, rules])
     # exponentiate into the (2, N, R) result as it is transposed: at
     # R = 50 that is several times faster than a transposing copy
     mu = np.empty((2, N, R))
@@ -238,18 +273,6 @@ def ant_grads_from(st, X, y, c1, c2, sigma, w, b, q):
     y_l, y_u, y_p = reduce(st.f, yr, q)
     e = y_p - y
 
-    # each rule's lower and upper row weights, rules-major:
-    # (c e inv (y_r - y_side)) mu_side, with c = q below and 1 - q above;
-    # uniform-fallback rows are locally constant in c (inv is 0 there),
-    # so they drop out
-    weights = np.empty((yr.shape[1], 2, N))
-    for side, c, y_side, mu in ((0, q, y_l, st.mu_l),
-                                (1, 1.0 - q, y_u, st.mu_u)):
-        w_s = weights[:, side]
-        np.subtract(yr.T, y_side, out=w_s)
-        w_s *= c * e * st.inv[:, side]
-        w_s *= mu.T
-
     XT = _columns(X)
     R, F = c1.shape
     step = _block_rules(R, F, N)
@@ -260,17 +283,29 @@ def ant_grads_from(st, X, y, c1, c2, sigma, w, b, q):
     terms = np.empty((step, 2, 2 * F, N))
     follows_c1 = np.empty((step, F, N), dtype=bool)
     d_c = np.empty((R, 2, 2 * F, 1))
-    for rules, a, nb in _offset_blocks(XT, c1, c2, step):
-        k = a.shape[0]
-        t, mask = terms[:k], follows_c1[:k]
-        # the lower bound follows c1 past the midpoint; a tie takes c2
-        np.greater(XT, mid[rules], out=mask)
-        np.multiply(a, mask, out=t[:, 0, :F])
-        np.logical_not(mask, out=mask)
-        np.multiply(nb, mask, out=t[:, 0, F:])
-        np.minimum(a, 0.0, out=t[:, 1, :F])
-        np.minimum(nb, 0.0, out=t[:, 1, F:])
-        np.matmul(t, weights[rules, :, :, None], out=d_c[rules])
+    weights = np.empty((R, 2, N))
+    with _row_loops(N):
+        # each rule's lower and upper row weights, rules-major:
+        # (c e inv (y_r - y_side)) mu_side, with c = q below and 1 - q
+        # above; uniform-fallback rows are locally constant in c (inv is
+        # 0 there), so they drop out
+        for side, c, y_side, mu in ((0, q, y_l, st.mu_l),
+                                    (1, 1.0 - q, y_u, st.mu_u)):
+            w_s = weights[:, side]
+            np.subtract(yr.T, y_side, out=w_s)
+            w_s *= c * e * st.inv[:, side]
+            w_s *= mu.T
+        for rules, a, nb in _offset_blocks(XT, c1, c2, step):
+            k = a.shape[0]
+            t, mask = terms[:k], follows_c1[:k]
+            # the lower bound follows c1 past the midpoint; a tie takes c2
+            np.greater(XT, mid[rules], out=mask)
+            np.multiply(a, mask, out=t[:, 0, :F])
+            np.logical_not(mask, out=mask)
+            np.multiply(nb, mask, out=t[:, 0, F:])
+            np.minimum(a, 0.0, out=t[:, 1, :F])
+            np.minimum(nb, 0.0, out=t[:, 1, F:])
+            np.matmul(t, weights[rules, :, :, None], out=d_c[rules])
     d_c = d_c[:, 0, :, 0] + d_c[:, 1, :, 0]
     scale = 1.0 / (sigma * sigma * N)
     return d_c[:, :F] * scale, -d_c[:, F:] * scale

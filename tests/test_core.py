@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,6 +181,27 @@ class TestPredict:
             for n, pred in enumerate(batch):
                 np.testing.assert_allclose(pred, predict_row(rb, X[n]),
                                            rtol=0.0, atol=1e-12)
+
+    def test_peak_memory_grows_only_by_the_output(self, rng):
+        # the chunks' temporaries are freed chunk by chunk, so from 2 to
+        # 20 chunks the traced peak grows by the (3, N) output alone; 4 KiB
+        # of Python objects are allowed on top, against the ~3 MB that a
+        # chunk's temporaries would add if they were held
+        rb = random_rulebase(rng, 50, 13)
+        rows = core.chunk_rows(rb)
+
+        def peak(n):
+            X = rng.uniform(0.0, 1.0, (n, 13))
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                predict_arrays(rb, X)
+                return tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        growth = peak(20 * rows) - peak(2 * rows)
+        assert growth <= 3 * 8 * 18 * rows + 4096
 
     def test_batch_empty_and_duplicate_rows(self, rng):
         rb = random_rulebase(rng, 3, 2)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 from collections import namedtuple
 
 import numpy as np
@@ -271,6 +272,68 @@ class TestAntGrads:
         for got, want in zip(kernels.ant_grads(*args),
                              _reference_ant_grads(*args)):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+class TestRowLoops:
+    """The block loops run on a capped ufunc buffer that changes no bit
+    and is the caller's again after every call."""
+
+    @pytest.fixture(params=[16, 1024, 8192, 2**16])
+    def bufsize(self, request):
+        old = np.setbufsize(request.param)
+        try:
+            yield request.param
+        finally:
+            np.setbufsize(old)
+
+    @staticmethod
+    def _problem(rng, R, N):
+        rb = random_rulebase(rng, R, 13, q=0.4)
+        X = rng.uniform(-0.2, 1.2, (N, 13))
+        X[::7] = 0.5 * (rb.c1[0] + rb.c2[0])  # midpoint ties of rule 0
+        X[3::11] += 60.0  # uniform-fallback rows
+        return rb, X, rng.normal(size=N)
+
+    @pytest.mark.parametrize("R", [5, 50])
+    def test_same_bits_whatever_the_callers_buffer(self, rng, bufsize,
+                                                   monkeypatch, R):
+        for N in (1, 64, 127, 128, 200, 360, 1280):
+            rb, X, y = self._problem(rng, R, N)
+            params = (rb.c1, rb.c2, rb.sigma)
+            # the kernels' own loops with the buffer as the caller left it
+            with monkeypatch.context() as m:
+                m.setattr(kernels, "_row_loops",
+                          lambda N: contextlib.nullcontext())
+                want_mu = kernels.fire(X, *params)
+                st = kernels.normalize(*want_mu)
+                want_d = kernels.ant_grads_from(st, X, y, *params, rb.w,
+                                                rb.b, rb.q)
+            got_mu = kernels.fire(X, *params)
+            assert np.getbufsize() == bufsize
+            got_d = kernels.ant_grads_from(st, X, y, *params, rb.w, rb.b,
+                                           rb.q)
+            assert np.getbufsize() == bufsize
+            for g, w in zip(got_mu + got_d, want_mu + want_d):
+                np.testing.assert_array_equal(_bits(g), _bits(w))
+
+    def test_callers_buffer_restored_when_the_loop_raises(
+            self, rng, bufsize, monkeypatch):
+        rb, X, y = self._problem(rng, 50, 1280)
+        params = (rb.c1, rb.c2, rb.sigma)
+        st = kernels.normalize(*kernels.fire(X, *params))
+
+        def boom(*args, **kwargs):
+            raise FloatingPointError("in the block loop")
+
+        for name, call in (
+                ("square", lambda: kernels.fire(X, *params)),
+                ("matmul", lambda: kernels.ant_grads_from(
+                    st, X, y, *params, rb.w, rb.b, rb.q))):
+            with monkeypatch.context() as m:
+                m.setattr(np, name, boom)
+                with pytest.raises(FloatingPointError):
+                    call()
+            assert np.getbufsize() == bufsize, name
 
 
 class TestFallbackRows:
