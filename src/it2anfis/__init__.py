@@ -15,7 +15,6 @@ from .explainer import (FeatureUncertainty, RuleUncertainty,
                         export_rules_text, fou_area)
 from .initializer import (InitConfig, build_rulebase, lhs_centers,
                           partition_width)
-from .kernels import active_backend
 from .metrics import MetricSet, evaluate
 from .modelio import ModelFormatError, load_model, save_model
 from .sweep import SweepConfig, run_seed, sweep
@@ -31,7 +30,7 @@ __all__ = [
     "MetricSet", "Mode", "ModelFormatError", "RawTable", "RuleBase",
     "RuleUncertainty", "SweepConfig", "SyntheticSpec", "TargetScaler",
     "TrainConfig", "TrainState", "TrainingDiverged", "UncertaintyReport",
-    "active_backend", "adapt_learning_rates", "antecedent_gradients",
+    "adapt_learning_rates", "antecedent_gradients",
     "apply_antecedent_update", "apply_consequent_update", "build_rulebase",
     "consequent_gradients", "enforce_constraints", "evaluate",
     "explain_instance", "explain_model", "export_rules_text", "fou_area",

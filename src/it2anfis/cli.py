@@ -17,20 +17,19 @@ from pathlib import Path
 
 import numpy as np
 
-from . import kernels
-from .core import Mode, predict_arrays
+from .core import Mode, RuleBase, predict_arrays
 from .dataset import (FeatureScaler, RawTable, SyntheticSpec,
                       generate_synthetic, inverse_target, load_csv,
-                      load_features, normalize_and_split)
+                      load_features)
 from .explainer import (explain_instance, explain_model, export_rules_text,
                         render_rule_svg)
-from .initializer import InitConfig, build_rulebase, ranges_from_training
+from .initializer import InitConfig
 from .metrics import evaluate
 from .modelio import load_model, save_model
-from .sweep import (LABEL_MODES, MAX_SEEDS, SweepConfig, aggregate,
-                    render_sweep_svg, split_metrics, summary_dict, sweep,
-                    write_csv)
-from .trainer import TrainConfig, train
+from .sweep import (LABEL_MODES, MAX_SEEDS, MODE_LABELS, SweepConfig,
+                    aggregate, fit, render_sweep_svg, split_metrics,
+                    summary_dict, sweep, write_csv)
+from .trainer import TrainConfig
 
 PREDICTION_COLUMNS = ("index", "y_pred_mwh", "interval_lo_mwh",
                       "interval_hi_mwh", "width_mwh")
@@ -49,23 +48,27 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_synth_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--synth-samples", type=int, default=1000)
-    p.add_argument("--synth-features", type=int, default=13)
-    p.add_argument("--synth-latent-rules", type=int, default=4)
-    p.add_argument("--synth-noise", type=float, default=0.05)
+    p.add_argument("--synth-samples", type=int,
+                   default=SyntheticSpec.n_samples)
+    p.add_argument("--synth-features", type=int,
+                   default=SyntheticSpec.n_features)
+    p.add_argument("--synth-latent-rules", type=int,
+                   default=SyntheticSpec.n_latent_rules)
+    p.add_argument("--synth-noise", type=float,
+                   default=SyntheticSpec.noise_std)
 
 
 def _add_optimizer_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha", type=float, default=0.2)
-    p.add_argument("--q", type=float, default=0.5)
-    p.add_argument("--max-epochs", type=int, default=500)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--patience", type=int, default=50)
-    p.add_argument("--eta-cons", type=float, default=0.01)
-    p.add_argument("--eta-ant", type=float, default=0.001)
-    p.add_argument("--lambda-l1", type=float, default=0.05)
-    p.add_argument("--lambda-l2", type=float, default=0.001)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p.add_argument("--alpha", type=float, default=InitConfig.alpha)
+    p.add_argument("--q", type=float, default=RuleBase.q)
+    p.add_argument("--max-epochs", type=int, default=TrainConfig.max_epochs)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--patience", type=int, default=TrainConfig.patience)
+    p.add_argument("--eta-cons", type=float, default=TrainConfig.eta_cons)
+    p.add_argument("--eta-ant", type=float, default=TrainConfig.eta_ant)
+    p.add_argument("--lambda-l1", type=float, default=TrainConfig.lambda_l1)
+    p.add_argument("--lambda-l2", type=float, default=TrainConfig.lambda_l2)
 
 
 def _synthetic_spec(args) -> SyntheticSpec:
@@ -99,21 +102,12 @@ def _print_metrics(label: str, values: dict[str, float]) -> None:
 
 def cmd_train(args) -> int:
     raw = _load_raw(args)
-    data = normalize_and_split(raw, args.seed)
-    ranges = ranges_from_training(data.X, data.train_idx)
-    mode = LABEL_MODES[args.mode]
-    init = InitConfig(n_rules=args.rules, alpha=args.alpha, seed=args.seed,
-                      mode=mode)
-    rb = build_rulebase(init, ranges)
-    rb.q = args.q
-
     out = Path(args.out or "model.json")
     log_path = Path(args.log) if args.log else out.with_suffix(".log.jsonl")
-    cfg = _train_config(args, log_path)
-    best, state = train(rb, data, cfg)
+    best, state, data = fit(raw, LABEL_MODES[args.mode], args.rules,
+                            args.alpha, args.q, _train_config(args, log_path))
 
-    print(f"backend={kernels.active_backend()} mode={args.mode} "
-          f"rules={args.rules} seed={args.seed} "
+    print(f"mode={args.mode} rules={args.rules} seed={args.seed} "
           f"epochs_run={state.epoch} best_val_mse_std="
           f"{state.best_val_mse:.17g}")
     for label, idx in (("train", data.train_idx), ("val", data.val_idx),
@@ -175,7 +169,7 @@ def cmd_explain(args) -> int:
     if args.data:
         X = _scale_features(load_features(args.data, names),
                             feature_scalers)
-        report.per_instance = explain_instance(rb, X, target_scaler)[:3]
+        report.per_instance = explain_instance(rb, X, target_scaler)
 
     out = Path(args.out or "report.json")
     out.write_text(json.dumps(report.as_dict(), indent=2) + "\n",
@@ -324,24 +318,28 @@ def build_parser() -> argparse.ArgumentParser:
                                            "grid")
     _add_data_flags(p_sweep)
     _add_optimizer_flags(p_sweep)
-    p_sweep.add_argument("--rules-min", type=int, default=5)
-    p_sweep.add_argument("--rules-max", type=int, default=50)
+    p_sweep.add_argument("--rules-min", type=int,
+                         default=min(SweepConfig.rule_counts))
+    p_sweep.add_argument("--rules-max", type=int,
+                         default=max(SweepConfig.rule_counts))
     p_sweep.add_argument("--rules-list",
                          help="comma-separated rule counts, overrides "
                               "--rules-min/--rules-max")
-    p_sweep.add_argument("--seeds", type=int, default=10,
+    p_sweep.add_argument("--seeds", type=int, default=SweepConfig.n_seeds,
                          help="seeds per (mode, rule count), at most "
                               f"{MAX_SEEDS}")
-    p_sweep.add_argument("--modes", default="it2",
+    p_sweep.add_argument("--modes", default=",".join(
+                             MODE_LABELS[m] for m in SweepConfig.modes),
                          help="comma-separated subset of it2,anfis0,anfis1")
-    p_sweep.add_argument("--parallelism", type=int, default=1)
+    p_sweep.add_argument("--parallelism", type=int,
+                         default=SweepConfig.parallelism)
     p_sweep.add_argument("--out", help="long-form CSV (default: sweep.csv)")
     p_sweep.add_argument("--svg", action="store_true",
                          help="write a mean/min-max chart")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_synth = sub.add_parser("synth", help="write a synthetic CSV")
-    p_synth.add_argument("--seed", type=int, default=0)
+    p_synth.add_argument("--seed", type=int, default=SyntheticSpec.seed)
     _add_synth_flags(p_synth)
     p_synth.add_argument("--out", help="output CSV (default: "
                                        "synthetic.csv)")

@@ -16,18 +16,15 @@ strengths with the uniform fallback (``kernels.normalize``), and
 outputs and blends the two sides with q (``kernels.reduce``).  The
 normalized strengths change only with the antecedents, so ``forward``
 takes them as an argument: the trainer holds them for its training
-split, and ``chunks`` computes them per row chunk for prediction and
-the explainer.  ``chunks`` walks the rows in chunks of a fixed byte
-budget (``chunk_rows``), so the memory of ``predict_arrays``, the one
-row-level inference API, and of the explainer's instance level does
-not grow with the number of rows.
+split, and ``predict_arrays``, the one row-level inference API, computes
+them per row chunk of a fixed byte budget (``chunk_rows``), so its
+memory does not grow with the number of rows.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -168,31 +165,19 @@ def chunk_rows(rb: RuleBase) -> int:
     return max(1, PREDICT_CHUNK_BYTES // (8 * rb.n_rules * rb.n_features))
 
 
-def chunks(rb: RuleBase, X: np.ndarray) -> Iterator[
-        tuple[slice, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
-    """Run the inference chain over (N, F) rows, ``chunk_rows`` at a time.
-
-    Rows are independent, so each chunk is fired, normalized and reduced
-    on its own.  Yields the chunk's row slice, its (rows, 2, R)
-    normalized strengths and its (y_l, y_u, y_p) outputs.
-    """
-    X = _as_rows(rb, X)
-    rows = chunk_rows(rb)
-    for lo in range(0, X.shape[0], rows):
-        part = slice(lo, lo + rows)
-        f = strengths(rb, X[part]).f
-        yield part, f, forward(rb, X[part], f)
-
-
 def predict_arrays(rb: RuleBase,
                    X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batch inference returning (y_lower, y_upper, y_pred) arrays.
 
     The one row-level inference API, behind ``predict``, ``evaluate``,
-    validation and the sweep metrics, over the row chunks of ``chunks``.
+    ``explain``, validation and the sweep metrics.  Rows are independent,
+    so each chunk of ``chunk_rows`` rows is fired, normalized and reduced
+    on its own, and its strengths are freed before the next is fired.
     """
     X = _as_rows(rb, X)
     out = np.empty((3, X.shape[0]))
-    for part, _, y_part in chunks(rb, X):
-        out[:, part] = y_part
+    rows = chunk_rows(rb)
+    for lo in range(0, X.shape[0], rows):
+        part = slice(lo, lo + rows)
+        out[:, part] = forward(rb, X[part], strengths(rb, X[part]).f)
     return out[0], out[1], out[2]

@@ -4,9 +4,8 @@ Feature level: the area enclosed between the upper and lower membership
 curves of each antecedent over the whole real line, in closed form (a
 scalar footprint-of-uncertainty size).
 Rule level: per-rule aggregates of those areas plus a consequent-norm
-diagnostic.  Instance level: for a batch of rows, the prediction
-intervals in original target units, equal bit for bit to
-``predict_arrays``'s, with the rules that drove each one.
+diagnostic.  Instance level: for a batch of rows, ``predict_arrays``'s
+prediction intervals in original target units.
 
 Also renders per-rule membership plots as standalone SVG documents and
 dumps the rule base as readable IF-THEN text.
@@ -19,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RuleBase, _as_rows, chunks
-from .dataset import FeatureScaler, TargetScaler
+from .core import RuleBase, predict_arrays
+from .dataset import FeatureScaler, TargetScaler, inverse_target
 from .kernels import gaussian, membership_offsets
 
 #: ``math.erf`` over arrays (numpy has no erf)
@@ -105,25 +104,15 @@ def explain_model(rb: RuleBase) -> UncertaintyReport:
 
 
 def explain_instance(rb: RuleBase, X: np.ndarray,
-                     target_scaler: TargetScaler):
-    """Interval predictions in original units plus rule attribution.
+                     target_scaler: TargetScaler
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Interval predictions of the (N, F) rows X in original units.
 
-    X is an (N, F) batch of rows.  Returns (y_lower, y_upper, y_pred,
-    ranking): three (N,) arrays in target units, and an (N, R) array
-    whose row n lists the rule indices by the mean of the two normalized
-    strengths of row n, strongest first, ties in index order.
-    It walks ``predict_arrays``'s row chunks (``core.chunks``), so the
-    intervals equal its output bit for bit.
+    Returns the (N,) y_lower, y_upper and y_pred of ``predict_arrays``,
+    each mapped through the target scaler's inverse.
     """
-    X = _as_rows(rb, X)
-    y = np.empty((3, X.shape[0]))
-    ranking = np.empty((X.shape[0], rb.n_rules), dtype=np.intp)
-    for part, f, y_part in chunks(rb, X):
-        y[:, part] = y_part
-        ranking[part] = np.argsort(-0.5 * (f[:, 0] + f[:, 1]), axis=1,
-                                   kind="stable")
-    y_l, y_u, y_p = target_scaler.inverse(y)
-    return y_l, y_u, y_p, ranking
+    return tuple(inverse_target(y, target_scaler)
+                 for y in predict_arrays(rb, X))
 
 
 def _fmt(value: float) -> str:

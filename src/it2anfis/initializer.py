@@ -113,7 +113,7 @@ def build_rulebase(cfg: InitConfig, feature_ranges) -> RuleBase:
     if cfg.mode is Mode.TYPE1_ORDER0:
         w[:] = 0.0
 
-    rb = RuleBase(c1=c1, c2=c2, sigma=sigma, w=w, b=b, q=0.5, mode=cfg.mode)
+    rb = RuleBase(c1=c1, c2=c2, sigma=sigma, w=w, b=b, mode=cfg.mode)
     rb.validate()
     return rb
 

@@ -20,11 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Mode, check_q, predict_arrays
+from .core import Mode, RuleBase, check_q, predict_arrays
 from .dataset import Dataset, RawTable, inverse_target, normalize_and_split
-from .initializer import InitConfig, build_rulebase, ranges_from_training
+from .initializer import (ALPHA_DEFAULT, InitConfig, build_rulebase,
+                          ranges_from_training)
 from .metrics import MetricSet, evaluate
-from .trainer import TrainConfig, train
+from .trainer import TrainConfig, TrainState, train
 
 MODE_LABELS = {Mode.IT2: "it2", Mode.TYPE1_ORDER0: "anfis0",
                Mode.TYPE1_ORDER1: "anfis1"}
@@ -46,8 +47,8 @@ class SweepConfig:
     modes: tuple[Mode, ...] = (Mode.IT2,)
     parallelism: int = 1
     seed_base: int = 0
-    alpha: float = 0.2
-    q: float = 0.5
+    alpha: float = ALPHA_DEFAULT
+    q: float = RuleBase.q
 
     def validate(self) -> None:
         if not self.rule_counts or any(r < 1 for r in self.rule_counts):
@@ -120,6 +121,24 @@ def split_metrics(rb, data: Dataset, idx: np.ndarray) -> MetricSet:
                     inverse_target(y_pred, data.target_scaler))
 
 
+def fit(raw: RawTable, mode: Mode, rules: int, alpha: float, q: float,
+        train_cfg: TrainConfig) -> tuple[RuleBase, TrainState, Dataset]:
+    """The one training recipe, of the ``train`` command and sweep cells.
+
+    Splits raw, builds an R-rule base of the given mode, alpha and q on
+    the training split's ranges, and trains it, all seeded by
+    ``train_cfg.seed``.  Returns the best rule base, the final training
+    state and the split.
+    """
+    data = normalize_and_split(raw, train_cfg.seed)
+    rb = build_rulebase(InitConfig(n_rules=rules, alpha=alpha,
+                                   seed=train_cfg.seed, mode=mode),
+                        ranges_from_training(data.X, data.train_idx))
+    rb.q = q
+    best, state = train(rb, data, train_cfg)
+    return best, state, data
+
+
 def run_single(raw: RawTable, mode: Mode, rules: int, seed_index: int,
                cfg: SweepConfig, train_cfg: TrainConfig) -> RunResult:
     """Train one grid cell and measure it; errors land in the row."""
@@ -127,14 +146,8 @@ def run_single(raw: RawTable, mode: Mode, rules: int, seed_index: int,
     seed = run_seed(cfg.seed_base, rules, seed_index)
     started = time.perf_counter()
     try:
-        data = normalize_and_split(raw, seed)
-        ranges = ranges_from_training(data.X, data.train_idx)
-        init = InitConfig(n_rules=rules, alpha=cfg.alpha, seed=seed,
-                          mode=mode)
-        rb = build_rulebase(init, ranges)
-        rb.q = cfg.q
-        best, _ = train(rb, data, replace(train_cfg, seed=seed,
-                                          log_path=None))
+        best, _, data = fit(raw, mode, rules, cfg.alpha, cfg.q,
+                            replace(train_cfg, seed=seed, log_path=None))
         test = split_metrics(best, data, data.test_idx)
         val = split_metrics(best, data, data.val_idx)
         wall_ms = (time.perf_counter() - started) * 1e3

@@ -148,7 +148,7 @@ def test_criterion_03_type1_collapse():
         elif not np.array_equal(reference, y_p):
             q_independent = False
     # the instance level, in target units, reports the same zero width
-    y_l, y_u, _, _ = explain_instance(rb, X, TargetScaler("y", 260.0, 40.0))
+    y_l, y_u, _ = explain_instance(rb, X, TargetScaler("y", 260.0, 40.0))
     if np.any(np.abs(y_u - y_l) != 0.0):
         widths_zero = False
 

@@ -10,7 +10,7 @@ EXPECTED = [
     "MetricSet", "Mode", "ModelFormatError", "RawTable", "RuleBase",
     "RuleUncertainty", "SweepConfig", "SyntheticSpec", "TargetScaler",
     "TrainConfig", "TrainState", "TrainingDiverged", "UncertaintyReport",
-    "active_backend", "adapt_learning_rates", "antecedent_gradients",
+    "adapt_learning_rates", "antecedent_gradients",
     "apply_antecedent_update", "apply_consequent_update", "build_rulebase",
     "consequent_gradients", "enforce_constraints", "evaluate",
     "explain_instance", "explain_model", "export_rules_text", "fou_area",

@@ -54,8 +54,7 @@ class TestZeroWidth:
         np.testing.assert_array_equal(y_l, y_u)
         np.testing.assert_array_equal(y_p, y_l)
         # the instance level, in target units, reports the same zero width
-        y_l, y_u, _, _ = explain_instance(rb, X, TargetScaler("y", 260.0,
-                                                              40.0))
+        y_l, y_u, _ = explain_instance(rb, X, TargetScaler("y", 260.0, 40.0))
         assert np.all(np.abs(y_u - y_l) == 0.0)
 
     def test_q_never_enters_collapsed_inference(self, rng):

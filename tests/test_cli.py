@@ -22,7 +22,10 @@ import it2anfis
 from it2anfis import core
 from it2anfis.cli import (PREDICTION_COLUMNS, _write_predictions,
                           build_parser, main)
-from it2anfis.dataset import load_csv, normalize_and_split
+from it2anfis.dataset import SyntheticSpec, load_csv, normalize_and_split
+from it2anfis.initializer import InitConfig, build_rulebase
+from it2anfis.sweep import LABEL_MODES, SweepConfig, run_seed
+from it2anfis.trainer import TrainConfig
 
 
 def _run(argv: list[str]) -> tuple[int, str]:
@@ -66,9 +69,8 @@ def _read_predictions(path) -> list[dict[str, str]]:
 class TestTrainCommand:
     def test_reports_and_artifacts(self, workspace):
         stdout = workspace["train_stdout_it2"]
-        assert re.search(r"^backend=numpy mode=it2 rules=3 seed=3 "
-                         r"epochs_run=8 best_val_mse_std=", stdout,
-                         re.MULTILINE)
+        assert re.search(r"^mode=it2 rules=3 seed=3 epochs_run=8 "
+                         r"best_val_mse_std=", stdout, re.MULTILINE)
         for split in ("train", "val", "test"):
             assert re.search(rf"^{split} mse=\S+ rmse=\S+ mae=\S+ mape=\S+",
                              stdout, re.MULTILINE)
@@ -493,6 +495,31 @@ class TestSweepCommand:
         self._fails_before_training(workspace, tmp_path, capsys, monkeypatch,
                                     [flag, value], message)
 
+    def test_row_equals_train_at_its_run_seed(self, workspace, tmp_path):
+        # both commands train through ``sweep.fit``: the anfis1, R = 3 cell
+        # at seed index 1 under seed base 0 is ``train --seed 301``
+        assert run_seed(0, 3, 1) == 301
+        out = tmp_path / "cells.csv"
+        assert _run(["sweep", "--data", str(workspace["data"]),
+                     "--rules-list", "3", "--seeds", "2", "--modes",
+                     "anfis1", "--max-epochs", "4", "--seed", "0",
+                     "--out", str(out)])[0] == 0
+        with out.open(newline="") as handle:
+            (row,) = [r for r in csv.DictReader(handle) if r["seed"] == "1"]
+        code, stdout = _run(["train", "--data", str(workspace["data"]),
+                             "--rules", "3", "--seed", "301", "--mode",
+                             "anfis1", "--max-epochs", "4",
+                             "--out", str(tmp_path / "model.json")])
+        assert code == 0
+        printed = {line.split()[0]: dict(cell.split("=")
+                                         for cell in line.split()[1:])
+                   for line in stdout.splitlines()
+                   if line.startswith(("test ", "val "))}
+        # both print the same float with "%.17g", so equal text is equal bits
+        for name in ("mse", "rmse", "mae", "mape"):
+            assert row[f"test_{name}"] == printed["test"][name]
+        assert row["val_mse"] == printed["val"]["mse"]
+
     @staticmethod
     def _fails_before_training(workspace, tmp_path, capsys, monkeypatch,
                                flags, message):
@@ -568,3 +595,30 @@ class TestParser:
                                                            "o")
         assert (second.command, second.model) == ("evaluate", "m2")
         assert not hasattr(second, "out")
+
+    def test_defaults_are_the_configs(self):
+        parser = build_parser()
+        train, sweep, synth = (parser.parse_args([command]) for command
+                               in ("train", "sweep", "synth"))
+        rb = build_rulebase(InitConfig(n_rules=1), [(0.0, 1.0)])
+        for args in (train, sweep):
+            for name in ("seed", "max_epochs", "batch_size", "patience",
+                         "eta_cons", "eta_ant", "lambda_l1", "lambda_l2"):
+                assert getattr(args, name) == getattr(TrainConfig(), name)
+            assert args.alpha == InitConfig(n_rules=1).alpha
+            assert args.q == rb.q
+        spec = SyntheticSpec()
+        for args in (train, sweep, synth):
+            assert (args.synth_samples, args.synth_features,
+                    args.synth_latent_rules, args.synth_noise) == (
+                spec.n_samples, spec.n_features, spec.n_latent_rules,
+                spec.noise_std)
+        assert synth.seed == spec.seed
+        grid = SweepConfig()
+        assert tuple(range(sweep.rules_min, sweep.rules_max + 1)) \
+            == grid.rule_counts
+        assert (sweep.seeds, sweep.parallelism, sweep.seed) == (
+            grid.n_seeds, grid.parallelism, grid.seed_base)
+        assert [LABEL_MODES[m] for m in sweep.modes.split(",")] \
+            == list(grid.modes)
+        assert (sweep.alpha, sweep.q) == (grid.alpha, grid.q)

@@ -183,10 +183,11 @@ class TestPredict:
                                            rtol=0.0, atol=1e-12)
 
     def test_peak_memory_grows_only_by_the_output(self, rng):
-        # the chunks' temporaries are freed chunk by chunk, so from 2 to
-        # 20 chunks the traced peak grows by the (3, N) output alone; 4 KiB
-        # of Python objects are allowed on top, against the ~3 MB that a
-        # chunk's temporaries would add if they were held
+        # the chunks' temporaries are freed chunk by chunk, so from 1 to 2
+        # and from 2 to 20 chunks the traced peak grows by the (3, N)
+        # output alone; 4 KiB of Python objects are allowed on top, against
+        # the 0.65 MB of one chunk's (rows, 2, R) strengths kept into the
+        # next, or the ~3 MB that every chunk's temporaries would add
         rb = random_rulebase(rng, 50, 13)
         rows = core.chunk_rows(rb)
 
@@ -200,8 +201,9 @@ class TestPredict:
             finally:
                 tracemalloc.stop()
 
-        growth = peak(20 * rows) - peak(2 * rows)
-        assert growth <= 3 * 8 * 18 * rows + 4096
+        one, two, twenty = (peak(n * rows) for n in (1, 2, 20))
+        assert two - one <= 3 * 8 * rows + 4096
+        assert twenty - two <= 3 * 8 * 18 * rows + 4096
 
     def test_batch_empty_and_duplicate_rows(self, rng):
         rb = random_rulebase(rng, 3, 2)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from it2anfis import core, kernels
-from it2anfis.core import Mode, RuleBase, predict_arrays, strengths
+from it2anfis.core import Mode, RuleBase, predict_arrays
 from it2anfis.dataset import TargetScaler, inverse_target
 from it2anfis.explainer import (UncertaintyReport, explain_instance,
                                 explain_model, export_rules_text, fou_area,
@@ -156,8 +156,7 @@ class TestExplainInstance:
         _, target = toy_scalers
         rb = random_rulebase(rng, 1, 2)
         X = np.array([[0.4, 0.6]])
-        _, _, y_p, ranking = explain_instance(rb, X, target)
-        np.testing.assert_array_equal(ranking, [[0]])
+        _, _, y_p = explain_instance(rb, X, target)
         raw = predict_arrays(rb, X)[2]
         assert y_p[0] == pytest.approx(raw[0] * target.std + target.mean,
                                        rel=1e-12)
@@ -166,36 +165,16 @@ class TestExplainInstance:
         _, target = toy_scalers
         rb = random_rulebase(rng, 4, 2)
         X = np.array([[0.3, 0.7]])
-        y_l, y_u, _, _ = explain_instance(rb, X, target)
+        y_l, y_u, _ = explain_instance(rb, X, target)
         raw_l, raw_u, _ = predict_arrays(rb, X)
         assert abs(y_u[0] - y_l[0]) == pytest.approx(
             target.std * abs(raw_u[0] - raw_l[0]), rel=1e-9, abs=1e-12)
-
-    def test_rules_sorted_by_mean_strength(self, rng, toy_scalers):
-        _, target = toy_scalers
-        rb = random_rulebase(rng, 5, 2)
-        X = rng.random((6, 2))
-        ranking = explain_instance(rb, X, target)[3]
-        f = strengths(rb, X).f
-        for n, order in enumerate(ranking):
-            assert sorted(order) == list(range(5))
-            scores = 0.5 * (f[n, 1] + f[n, 0])[order]
-            assert list(scores) == sorted(scores, reverse=True)
-
-    def test_fallback_rows_rank_rules_in_index_order(self, rng,
-                                                     toy_scalers):
-        # the uniform fallback ties every rule; the ranking is stable
-        _, target = toy_scalers
-        rb = random_rulebase(rng, 5, 2)
-        ranking = explain_instance(rb, np.array([[80.0, -75.0]]), target)[3]
-        np.testing.assert_array_equal(ranking, [np.arange(5)])
 
     def test_collapsed_instance_interval_is_degenerate(self, rng,
                                                        toy_scalers):
         _, target = toy_scalers
         rb = random_rulebase(rng, 3, 2, mode=Mode.TYPE1_ORDER0)
-        y_l, y_u, y_p, _ = explain_instance(rb, np.array([[0.2, 0.9]]),
-                                            target)
+        y_l, y_u, y_p = explain_instance(rb, np.array([[0.2, 0.9]]), target)
         assert y_l[0] == y_p[0] == y_u[0]
 
     def test_equals_predict_arrays_across_chunks(self, rng, toy_scalers):
@@ -210,18 +189,16 @@ class TestExplainInstance:
         assert (kernels.fire(X[far], rb.c1, rb.c2, rb.sigma)[0]
                 .sum(axis=1) < kernels.STRENGTH_FLOOR).all()
         got = explain_instance(rb, X, target)
-        for mine, theirs in zip(got[:3], predict_arrays(rb, X)):
+        assert len(got) == 3
+        for mine, theirs in zip(got, predict_arrays(rb, X)):
             np.testing.assert_array_equal(mine,
                                           inverse_target(theirs, target))
-        assert got[3].shape == (X.shape[0], 50)
 
     def test_empty_and_duplicate_rows(self, rng, toy_scalers):
         _, target = toy_scalers
         rb = random_rulebase(rng, 3, 2)
-        y_l, y_u, y_p, ranking = explain_instance(rb, np.empty((0, 2)),
-                                                  target)
+        y_l, y_u, y_p = explain_instance(rb, np.empty((0, 2)), target)
         assert y_l.shape == y_u.shape == y_p.shape == (0,)
-        assert ranking.shape == (0, 3)
         x = rng.random(2)
         for out in explain_instance(rb, np.stack([x, x]), target):
             np.testing.assert_array_equal(out[0], out[1])
@@ -240,7 +217,7 @@ class TestExplainInstance:
                       c2=np.array([[1.6], [0.71715729]]),
                       sigma=np.full((2, 1), 0.1),
                       w=np.array([[1.0], [2.0]]), b=np.zeros(2))
-        y_l, y_u, y_p, _ = explain_instance(rb, np.array([[1.0]]), target)
+        y_l, y_u, y_p = explain_instance(rb, np.array([[1.0]]), target)
         assert y_u[0] < y_p[0] < y_l[0]
         report = UncertaintyReport(per_feature=[], per_rule=[],
                                    per_instance=(y_l, y_u, y_p))
