@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import Strengths, fire as _fire_batch, normalize, reduce
+from .kernels import (Strengths, fire as _fire_batch, fire_collapsed,
+                      normalize, reduce)
 
 SIGMA_MIN = 0.05
 #: narrowest interval c2 - c1 that training's constraint repair leaves
@@ -141,16 +142,28 @@ def _as_rows(rb: RuleBase, X: np.ndarray) -> np.ndarray:
 
 
 def strengths(rb: RuleBase, X: np.ndarray) -> Strengths:
-    """Fire every rule on the (N, F) inputs and normalize the strengths."""
+    """Fire every rule on the (N, F) inputs and normalize the strengths.
+
+    The rule base's mode picks the fire.  IT2 fires and stores both
+    sides.  A type-1 mode fires its collapsed bounds once
+    (``kernels.fire_collapsed``) and stores that one side, which both
+    sides would equal bit for bit; it raises ValueError, naming the
+    mode, if c1 and c2 differ, since one side would then be wrong.
+    """
     X = _as_rows(rb, X)
-    return normalize(*_fire_batch(X, rb.c1, rb.c2, rb.sigma))
+    if not rb.mode.is_type1:
+        return normalize(*_fire_batch(X, rb.c1, rb.c2, rb.sigma))
+    if not np.array_equal(rb.c1, rb.c2):
+        raise ValueError(f"{rb.mode.value} rule base needs c1 == c2 "
+                         f"everywhere to fire one side")
+    return normalize(fire_collapsed(X, rb.c1, rb.sigma))
 
 
 def forward(rb: RuleBase, X: np.ndarray,
             f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run the inference chain's tail on a batch of rows.
 
-    ``f`` is the (N, 2, R) normalized strengths of the (N, F) inputs
+    ``f`` is the (N, S, R) normalized strengths of the (N, F) inputs
     under the current antecedents (``Strengths.f``).  Evaluates the
     affine rule outputs, reduces and blends the two sides, and returns
     the (N,) lower, upper and blended outputs (y_l, y_u, y_p).

@@ -53,6 +53,14 @@ antecedents while the consequents change with every mini-batch.  The
 trainer keeps the ``Strengths`` of its training split, raw and
 normalized, for each antecedent state; ``ant_grads`` fires and
 normalizes afresh per call.
+
+Collapsed (type-1) bounds c1 = c2 = c make -b = c - x exactly -(x - c),
+so ``fire``'s two sides are equal bit for bit.  ``fire_collapsed``
+computes that one side, ``normalize`` and ``reduce`` take the sides they
+are given, and a ``Strengths`` stores one side or two.  With one stored
+side ``ant_grads_from`` replaces its masked rule-block loop by one
+product over the summed row weights, which moves the gradient at
+roundoff, within a bound the tests check against a longdouble reference.
 """
 
 from __future__ import annotations
@@ -148,6 +156,13 @@ def _offset_blocks(XT, c1, c2, step):
         yield rules, a, nb
 
 
+def _fire_columns(X):
+    """``_columns`` of X, a lone row repeated as a two-row batch, so that
+    the firing kernels' feature sum keeps the rows as its inner loop."""
+    XT = _columns(X)
+    return np.repeat(XT, 2, axis=1) if XT.shape[1] == 1 else XT
+
+
 def fire(X, c1, c2, sigma):
     """Raw lower/upper firing strengths (mu_L, mu_U) of a batch.
 
@@ -160,19 +175,15 @@ def fire(X, c1, c2, sigma):
     strengths depend on that row alone, bit for bit, whatever else
     shares the batch.
     """
-    XT = _columns(X)
-    (F, N), R = XT.shape, c1.shape[0]
-    if N == 1:
-        # numpy drops a length-1 row axis from the feature sum below and
-        # would sum the features pairwise; as a two-row batch the rows
-        # stay its inner loop
-        XT = np.repeat(XT, 2, axis=1)
-    step = _block_rules(R, F, XT.shape[1])
+    N = X.shape[0]
+    XT = _fire_columns(X)
+    (F, M), R = XT.shape, c1.shape[0]
+    step = _block_rules(R, F, M)
     h = (-0.5 / (sigma * sigma))[:, :, None]
-    d = np.empty((2, step, *XT.shape))
+    d = np.empty((2, step, F, M))
     # per side, rules-major: the summed (d / sigma)**2 / -2
-    z = np.empty((2, R, XT.shape[1]))
-    with _row_loops(XT.shape[1]):
+    z = np.empty((2, R, M))
+    with _row_loops(M):
         for rules, a, nb in _offset_blocks(XT, c1, c2, step):
             d_r = d[:, :a.shape[0]]
             # |d_l| = max(|a|, |b|) = max(a, -b): the farther mean's offset
@@ -192,13 +203,46 @@ def fire(X, c1, c2, sigma):
     return mu[0], mu[1]
 
 
+def fire_collapsed(X, c, sigma):
+    """``fire``'s (N, R) strengths where c1 = c2 = c, computed once.
+
+    Both of ``fire``'s offset sizes are then |x - c| and its mu_L and
+    mu_U are equal bit for bit.  This takes that one side with ``fire``'s
+    rule blocks, ufunc buffer, scale and feature-sum order, in 4 passes
+    over a block instead of 11 and one exp instead of two.
+    """
+    N = X.shape[0]
+    XT = _fire_columns(X)
+    (F, M), R = XT.shape, c.shape[0]
+    step = _block_rules(R, F, M)
+    h = (-0.5 / (sigma * sigma))[:, :, None]
+    d = np.empty((step, F, M))
+    z = np.empty((R, M))
+    with _row_loops(M):
+        for lo in range(0, R, step):
+            rules = slice(lo, min(lo + step, R))
+            d_r = d[:rules.stop - lo]
+            np.subtract(XT, c[rules, :, None], out=d_r)
+            np.square(d_r, out=d_r)
+            d_r *= h[rules]
+            np.add.reduce(d_r, axis=1, out=z[rules])
+    mu = np.empty((N, R))
+    np.exp(z[:, :N].T, out=mu)
+    return mu
+
+
 class Strengths(NamedTuple):
     """A batch's firing strengths, raw and normalized.
 
-    mu_l, mu_u are the (N, R) raw strengths; f is the (N, 2, R)
-    normalized pair, f[:, 0] the lower and f[:, 1] the upper side; inv
-    is the (N, 2) reciprocal raw sums, 0 on rows that took the uniform
-    fallback.
+    mu_l, mu_u are the (N, R) raw strengths; f is the (N, S, R)
+    normalized strengths of S stored sides; inv is the (N, S) reciprocal
+    raw sums, 0 on rows that took the uniform fallback.  An interval
+    rule base stores both sides, S = 2.  Collapsed (type-1) bounds store
+    the one side that both would equal bit for bit, S = 1, with mu_l and
+    mu_u the same array; ``core.strengths`` decides which by the rule
+    base's mode.  Every consumer reads the lower side as f[:, 0] and the
+    upper as f[:, -1], and ``ant_grads_from`` takes one stored side as
+    the signal for its collapsed-bounds gradient.
     """
 
     mu_l: np.ndarray
@@ -207,49 +251,52 @@ class Strengths(NamedTuple):
     inv: np.ndarray
 
 
-def normalize(mu_l, mu_u, floor=STRENGTH_FLOOR):
-    """Normalize the raw strengths (mu_L, mu_U) of a batch per row.
+def normalize(*mu, floor=STRENGTH_FLOOR):
+    """Normalize the raw strengths of a batch per row, side by side.
 
-    A side whose raw sum falls below ``floor`` uses the uniform 1/R
-    split instead.  Returns the ``Strengths`` of the batch.
+    mu is the (N, R) raw strengths of each stored side: (mu_L, mu_U), or
+    the one side of collapsed bounds.  A side whose raw sum falls below
+    ``floor`` uses the uniform 1/R split instead.  Returns the
+    ``Strengths`` of the batch.
     """
-    N, R = mu_l.shape
-    s = np.empty((N, 2))
-    np.add.reduce(mu_l, axis=1, out=s[:, 0])
-    np.add.reduce(mu_u, axis=1, out=s[:, 1])
+    N, R = mu[0].shape
+    s = np.empty((N, len(mu)))
+    for side, m in enumerate(mu):
+        np.add.reduce(m, axis=1, out=s[:, side])
     # the negated test also sends a NaN sum to the fallback
     fallback = ~(s >= floor)
     s[fallback] = 1.0
-    f = np.empty((N, 2, R))
-    np.divide(mu_l, s[:, :1], out=f[:, 0])
-    np.divide(mu_u, s[:, 1:], out=f[:, 1])
+    f = np.empty((N, len(mu), R))
+    for side, m in enumerate(mu):
+        np.divide(m, s[:, side:side + 1], out=f[:, side])
     f[fallback] = 1.0 / R
     inv = np.divide(1.0, s, out=s)
     inv[fallback] = 0.0
-    return Strengths(mu_l, mu_u, f, inv)
+    return Strengths(mu[0], mu[-1], f, inv)
 
 
 def reduce(f, yr, q):
     """Reduce each side to its output and blend the two with q.
 
-    f is the (N, 2, R) normalized strengths and yr the (N, R) rule
+    f is the (N, S, R) normalized strengths and yr the (N, R) rule
     outputs.  Returns the (N,) outputs (y_l, y_u, y_p).  Where the two
     sides coincide the shared value is the blend, so a collapsed
-    (type-1) system is bit-for-bit independent of q.
+    (type-1) system is bit-for-bit independent of q, whether it stores
+    one side or two.
     """
     y = np.add.reduce(f * yr[:, None, :], axis=2)
-    y_l, y_u = y[:, 0], y[:, 1]
+    y_l, y_u = y[:, 0], y[:, -1]
     return y_l, y_u, np.where(y_l == y_u, y_l, q * y_l + (1.0 - q) * y_u)
 
 
 def ant_grads(X, y, c1, c2, sigma, w, b, q, floor=STRENGTH_FLOOR):
     """Gradients of the half mean-squared error w.r.t. c1 and c2.
 
-    Fires and normalizes X and hands the strengths to
+    Fires both sides of X, normalizes them and hands the strengths to
     ``ant_grads_from``.  Returns (d_c1, d_c2), each (R, F).
     """
-    return ant_grads_from(normalize(*fire(X, c1, c2, sigma), floor), X, y,
-                          c1, c2, sigma, w, b, q)
+    return ant_grads_from(normalize(*fire(X, c1, c2, sigma), floor=floor),
+                          X, y, c1, c2, sigma, w, b, q)
 
 
 def ant_grads_from(st, X, y, c1, c2, sigma, w, b, q):
@@ -267,14 +314,45 @@ def ant_grads_from(st, X, y, c1, c2, sigma, w, b, q):
     min(d_u, 0) = min(a, 0) and c2 through max(d_u, 0) = max(b, 0), both
     0 on the plateau.  At piecewise seams the active branch's one-sided
     derivative is used.  Returns (d_c1, d_c2), each (R, F).
+
+    With one stored side (c1 = c2 = c) the four branches add up to
+    x - c, so d_c1 + d_c2 = sum_n W[r, n] (x_nf - c_rf) / (sigma_rf**2 N)
+    with the one side's row weights W = (y_r - y) e inv mu (q and 1 - q
+    sum to 1).  It is returned as (d_c1 + d_c2, zeros), taken as the one
+    (R, N) @ (N, F) product (W X - c * W 1) / (sigma**2 N).  Per element
+    its rounding error is a small multiple, growing like sqrt(N) as BLAS
+    sums the rows, of eps sum_n |W[r, n]| (|x_nf| + |c_rf|) / (sigma_rf**2 N).
     """
     N = X.shape[0]
     yr = X @ w.T + b
     y_l, y_u, y_p = reduce(st.f, yr, q)
     e = y_p - y
 
-    XT = _columns(X)
     R, F = c1.shape
+    collapsed = st.f.shape[1] == 1
+    # one stored side stands for both, weighted q + (1 - q) = 1
+    sides = (((0, 1.0, y_l, st.mu_l),) if collapsed else
+             ((0, q, y_l, st.mu_l), (1, 1.0 - q, y_u, st.mu_u)))
+    weights = np.empty((R, len(sides), N))
+    scale = 1.0 / (sigma * sigma * N)
+    with _row_loops(N):
+        # each rule's lower and upper row weights, rules-major:
+        # (c e inv (y_r - y_side)) mu_side, with c = q below and 1 - q
+        # above; uniform-fallback rows are locally constant in c (inv is
+        # 0 there), so they drop out
+        for side, c, y_side, mu in sides:
+            w_s = weights[:, side]
+            np.subtract(yr.T, y_side, out=w_s)
+            w_s *= c * e * st.inv[:, side]
+            w_s *= mu.T
+    if collapsed:
+        W = weights[:, 0]
+        d_c = W @ X
+        d_c -= c1 * np.add.reduce(W, axis=1)[:, None]
+        d_c *= scale
+        return d_c, np.zeros_like(d_c)
+
+    XT = _columns(X)
     step = _block_rules(R, F, N)
     mid = (0.5 * (c1 + c2))[:, :, None]
     # per rule, [[max(d_l, 0), -min(d_l, 0)], [min(d_u, 0), -max(d_u, 0)]]:
@@ -283,18 +361,7 @@ def ant_grads_from(st, X, y, c1, c2, sigma, w, b, q):
     terms = np.empty((step, 2, 2 * F, N))
     follows_c1 = np.empty((step, F, N), dtype=bool)
     d_c = np.empty((R, 2, 2 * F, 1))
-    weights = np.empty((R, 2, N))
     with _row_loops(N):
-        # each rule's lower and upper row weights, rules-major:
-        # (c e inv (y_r - y_side)) mu_side, with c = q below and 1 - q
-        # above; uniform-fallback rows are locally constant in c (inv is
-        # 0 there), so they drop out
-        for side, c, y_side, mu in ((0, q, y_l, st.mu_l),
-                                    (1, 1.0 - q, y_u, st.mu_u)):
-            w_s = weights[:, side]
-            np.subtract(yr.T, y_side, out=w_s)
-            w_s *= c * e * st.inv[:, side]
-            w_s *= mu.T
         for rules, a, nb in _offset_blocks(XT, c1, c2, step):
             k = a.shape[0]
             t, mask = terms[:k], follows_c1[:k]
@@ -307,7 +374,6 @@ def ant_grads_from(st, X, y, c1, c2, sigma, w, b, q):
             np.minimum(nb, 0.0, out=t[:, 1, F:])
             np.matmul(t, weights[rules, :, :, None], out=d_c[rules])
     d_c = d_c[:, 0, :, 0] + d_c[:, 1, :, 0]
-    scale = 1.0 / (sigma * sigma * N)
     return d_c[:, :F] * scale, -d_c[:, F:] * scale
 
 

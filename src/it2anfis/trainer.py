@@ -14,15 +14,15 @@ clipped to [-``GRAD_CLIP``, ``GRAD_CLIP``], and repair keeps every
 interval at least ``core.MIN_SEPARATION`` wide.
 
 Only the antecedent update moves the memberships, so ``train`` fires
-the training split (``kernels.fire``) and normalizes its strengths
-(``kernels.normalize``) once before the loop and once after each
-antecedent update, into one ``kernels.Strengths``.  As in Jang's hybrid
-learning, the premise part is fixed while the consequents learn: each
-epoch gathers its shuffled rows of the (N, 2, R) normalized strengths
-once and the mini-batch consequent steps read slices of them, and the
-antecedent gradient, the q update and the train error read the whole of
-it.  Every gradient function takes its strengths as an argument; only
-``core.strengths`` computes them.
+the training split and normalizes its strengths (``core.strengths``)
+once before the loop and once after each antecedent update, into one
+``kernels.Strengths``: one stored side for a type-1 mode, two for IT2.
+As in Jang's hybrid learning, the premise part is fixed while the
+consequents learn: each epoch gathers its shuffled rows of the
+(N, S, R) normalized strengths once and the mini-batch consequent steps
+read slices of them, and the antecedent gradient, the q update and the
+train error read the whole of it.  Every gradient function takes its
+strengths as an argument; only ``core.strengths`` computes them.
 """
 
 from __future__ import annotations
@@ -119,12 +119,12 @@ def consequent_gradients(rb: RuleBase, Xb: np.ndarray, yb: np.ndarray,
 
     d_b[j] = mean_n(e_n * phi_n_j) and d_w[j] = mean_n(e_n * phi_n_j * x_n),
     with e the blended prediction error and phi = q*fbar_L + (1-q)*fbar_U.
-    ``f`` is the batch's (B, 2, R) normalized strengths under the
-    current antecedents.
+    ``f`` is the batch's (B, S, R) normalized strengths under the
+    current antecedents, lower side first and upper side last.
     """
     q = rb.q
     y_p = forward(rb, Xb, f)[2]
-    phi = q * f[:, 0] + (1.0 - q) * f[:, 1]
+    phi = q * f[:, 0] + (1.0 - q) * f[:, -1]
     B = Xb.shape[0]
     weights = (y_p - yb)[:, None] * phi
     return weights.T @ Xb / B, np.add.reduce(weights, 0) / B
@@ -155,7 +155,9 @@ def antecedent_gradients(rb: RuleBase, X_full: np.ndarray,
     """Exact full-split gradients of the half-MSE w.r.t. c1 and c2.
 
     ``st`` is the ``kernels.Strengths`` of X_full under the current
-    antecedents.
+    antecedents.  For a type-1 mode's one stored side it returns the
+    tied centre's gradient d_c1 + d_c2 and zeros, which is all that
+    ``apply_antecedent_update`` reads.
     """
     X_full = np.ascontiguousarray(X_full, dtype=np.float64)
     y_full = np.ascontiguousarray(y_full, dtype=np.float64)
