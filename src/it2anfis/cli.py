@@ -1,7 +1,7 @@
 """Command-line front end: train, predict, explain, evaluate, sweep, synth.
 
-Data comes from a CSV file (--data) or the built-in synthetic generator
-(--synthetic).  Model modes are selected with --mode {it2,anfis0,anfis1}.
+Every command that reads data reads a CSV file (--data); ``synth`` writes
+a synthetic one.  Model modes are selected with --mode {it2,anfis0,anfis1}.
 All commands exit 0 on success and nonzero with a message on stderr
 otherwise.
 """
@@ -18,9 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .core import Mode, RuleBase, predict_arrays
-from .dataset import (FeatureScaler, RawTable, SyntheticSpec,
-                      generate_synthetic, inverse_target, load_csv,
-                      load_features)
+from .dataset import (FeatureScaler, SyntheticSpec, generate_synthetic,
+                      inverse_target, load_csv, load_features)
 from .explainer import (explain_instance, explain_model, export_rules_text,
                         render_rule_svg)
 from .initializer import InitConfig
@@ -37,25 +36,12 @@ PREDICTION_ROW = "%d,%.17g,%.17g,%.17g,%.17g\r\n"
 
 
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--data", help="CSV file with a header row")
+    p.add_argument("--data", required=True,
+                   help="CSV file with a header row")
     p.add_argument("--target", default="energy_mwh",
                    help="target column name (default: energy_mwh)")
     p.add_argument("--date-col", default=None,
                    help="date column to skip; never a feature")
-    p.add_argument("--synthetic", action="store_true",
-                   help="generate data instead of reading --data")
-    _add_synth_flags(p)
-
-
-def _add_synth_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--synth-samples", type=int,
-                   default=SyntheticSpec.n_samples)
-    p.add_argument("--synth-features", type=int,
-                   default=SyntheticSpec.n_features)
-    p.add_argument("--synth-latent-rules", type=int,
-                   default=SyntheticSpec.n_latent_rules)
-    p.add_argument("--synth-noise", type=float,
-                   default=SyntheticSpec.noise_std)
 
 
 def _add_optimizer_flags(p: argparse.ArgumentParser) -> None:
@@ -69,21 +55,6 @@ def _add_optimizer_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eta-ant", type=float, default=TrainConfig.eta_ant)
     p.add_argument("--lambda-l1", type=float, default=TrainConfig.lambda_l1)
     p.add_argument("--lambda-l2", type=float, default=TrainConfig.lambda_l2)
-
-
-def _synthetic_spec(args) -> SyntheticSpec:
-    return SyntheticSpec(n_samples=args.synth_samples,
-                         n_features=args.synth_features,
-                         n_latent_rules=args.synth_latent_rules,
-                         noise_std=args.synth_noise, seed=args.seed)
-
-
-def _load_raw(args) -> RawTable:
-    if args.synthetic:
-        return generate_synthetic(_synthetic_spec(args))
-    if not args.data:
-        raise ValueError("either --data or --synthetic is required")
-    return load_csv(args.data, args.target, args.date_col)
 
 
 def _train_config(args, log_path) -> TrainConfig:
@@ -101,7 +72,7 @@ def _print_metrics(label: str, values: dict[str, float]) -> None:
 
 
 def cmd_train(args) -> int:
-    raw = _load_raw(args)
+    raw = load_csv(args.data, args.target, args.date_col)
     out = Path(args.out or "model.json")
     log_path = Path(args.log) if args.log else out.with_suffix(".log.jsonl")
     best, state, data = fit(raw, LABEL_MODES[args.mode], args.rules,
@@ -231,7 +202,7 @@ def _sweep_grid(args) -> tuple[tuple[int, ...], tuple[Mode, ...]]:
 
 def cmd_sweep(args) -> int:
     rule_counts, modes = _sweep_grid(args)
-    raw = _load_raw(args)
+    raw = load_csv(args.data, args.target, args.date_col)
     cfg = SweepConfig(rule_counts=rule_counts, n_seeds=args.seeds,
                       modes=modes, parallelism=args.parallelism,
                       seed_base=args.seed, alpha=args.alpha, q=args.q)
@@ -258,7 +229,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    raw = generate_synthetic(_synthetic_spec(args))
+    raw = generate_synthetic(SyntheticSpec(
+        n_samples=args.synth_samples, n_features=args.synth_features,
+        n_latent_rules=args.synth_latent_rules, noise_std=args.synth_noise,
+        seed=args.seed))
     out = Path(args.out or "synthetic.csv")
     with out.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
@@ -340,7 +314,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="write a synthetic CSV")
     p_synth.add_argument("--seed", type=int, default=SyntheticSpec.seed)
-    _add_synth_flags(p_synth)
+    p_synth.add_argument("--synth-samples", type=int,
+                         default=SyntheticSpec.n_samples)
+    p_synth.add_argument("--synth-features", type=int,
+                         default=SyntheticSpec.n_features)
+    p_synth.add_argument("--synth-latent-rules", type=int,
+                         default=SyntheticSpec.n_latent_rules)
+    p_synth.add_argument("--synth-noise", type=float,
+                         default=SyntheticSpec.noise_std)
     p_synth.add_argument("--out", help="output CSV (default: "
                                        "synthetic.csv)")
     p_synth.set_defaults(func=cmd_synth)

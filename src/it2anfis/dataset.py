@@ -33,14 +33,13 @@ class RawTable:
     """Parsed numeric table, prior to any scaling.
 
     Holds every data line of the file: a line with a bad cell fails the
-    load instead of being dropped.  A date column, if named, is left
-    out of the table (``date_column`` records its name).
+    load instead of being dropped.  A date column, if named, is never
+    parsed and is not among ``column_names``.
     """
 
     column_names: list[str]
     rows: np.ndarray
     target_column: str
-    date_column: str | None = None
 
     @property
     def n_rows(self) -> int:
@@ -99,10 +98,6 @@ class Dataset:
     train_idx: np.ndarray
     val_idx: np.ndarray
     test_idx: np.ndarray
-
-    @property
-    def feature_names(self) -> list[str]:
-        return [s.name for s in self.feature_scalers]
 
     def subset(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.X[idx], self.y[idx]
@@ -275,7 +270,7 @@ def load_csv(path: str | Path, target_column: str,
     if missing:
         raise ValueError(f"{path}: missing model feature columns {missing}")
     return RawTable(column_names=names, rows=rows,
-                    target_column=target_column, date_column=date_column)
+                    target_column=target_column)
 
 
 def load_features(path: str | Path, feature_names: list[str]) -> np.ndarray:

@@ -92,13 +92,18 @@ class TestTrainCommand:
         assert "missing.csv" in err
 
     def test_no_data_source_fails(self, capsys):
-        code = main(["train"])
-        assert code == 1
-        assert "--data or --synthetic" in capsys.readouterr().err
+        for command in ("train", "sweep"):
+            with pytest.raises(SystemExit) as info:
+                main([command])
+            assert info.value.code == 2
+            assert "the following arguments are required: --data" in \
+                capsys.readouterr().err
 
-    def test_unknown_mode_rejected_by_parser(self):
-        with pytest.raises(SystemExit):
-            main(["train", "--synthetic", "--mode", "type3"])
+    def test_unknown_mode_rejected_by_parser(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["train", "--data", "d.csv", "--mode", "type3"])
+        assert info.value.code == 2
+        assert "invalid choice: 'type3'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value", [
         ("--eta-cons", "0.5"), ("--eta-cons", "nan"), ("--eta-ant", "inf"),
@@ -364,6 +369,19 @@ class TestEvaluateCommand:
         assert capsys.readouterr().err.strip() == \
             f"error: {data}: missing model feature columns ['x2']"
 
+    def test_zero_target_prints_mape_note(self, workspace, tmp_path):
+        lines = workspace["data"].read_text().splitlines()
+        cells = lines[1].split(",")
+        lines[1] = ",".join(cells[:-1] + ["0"])
+        zeroed = tmp_path / "zero.csv"
+        zeroed.write_text("\n".join(lines) + "\n")
+        code, stdout = _run(["evaluate", "--model",
+                             str(workspace["model_it2"]),
+                             "--data", str(zeroed)])
+        assert code == 0
+        assert stdout.splitlines()[-1] == \
+            "note: MAPE undefined (zero-valued target present)"
+
     def test_missing_model_fails(self, workspace, capsys):
         code = main(["evaluate", "--model", "/nonexistent/model.json",
                      "--data", str(workspace["data"])])
@@ -439,6 +457,28 @@ class TestSweepCommand:
         assert len(summary["aggregates"]) == 4
 
         ET.fromstring(out.with_suffix(".svg").read_text())
+
+    def test_failed_runs_counted_in_warning(self, workspace, tmp_path):
+        # a constant feature fails every cell's split, and each failure
+        # lands in its row instead of stopping the sweep
+        with workspace["data"].open(newline="") as handle:
+            rows = list(csv.reader(handle))
+        flat = tmp_path / "flat.csv"
+        with flat.open("w", newline="") as handle:
+            csv.writer(handle).writerows(
+                [rows[0]] + [["1"] + r[1:] for r in rows[1:]])
+        out = tmp_path / "s.csv"
+        code, stdout = _run(["sweep", "--data", str(flat), "--rules-list",
+                             "2,3", "--seeds", "1", "--modes", "it2",
+                             "--max-epochs", "1", "--parallelism", "1",
+                             "--out", str(out)])
+        assert code == 0
+        assert "warning: 2 runs failed (see status column)" in \
+            stdout.splitlines()
+        with out.open(newline="") as handle:
+            statuses = [r["status"] for r in csv.DictReader(handle)]
+        assert statuses == ["error: feature 'x1' is constant on the "
+                            "training split (value 1.0)"] * 2
 
     def test_bad_mode_token_fails(self, workspace, capsys):
         code = main(["sweep", "--data", str(workspace["data"]),
@@ -598,8 +638,9 @@ class TestParser:
 
     def test_defaults_are_the_configs(self):
         parser = build_parser()
-        train, sweep, synth = (parser.parse_args([command]) for command
-                               in ("train", "sweep", "synth"))
+        train, sweep = (parser.parse_args([command, "--data", "d"])
+                        for command in ("train", "sweep"))
+        synth = parser.parse_args(["synth"])
         rb = build_rulebase(InitConfig(n_rules=1), [(0.0, 1.0)])
         for args in (train, sweep):
             for name in ("seed", "max_epochs", "batch_size", "patience",
@@ -608,12 +649,10 @@ class TestParser:
             assert args.alpha == InitConfig(n_rules=1).alpha
             assert args.q == rb.q
         spec = SyntheticSpec()
-        for args in (train, sweep, synth):
-            assert (args.synth_samples, args.synth_features,
-                    args.synth_latent_rules, args.synth_noise) == (
-                spec.n_samples, spec.n_features, spec.n_latent_rules,
-                spec.noise_std)
-        assert synth.seed == spec.seed
+        assert (synth.synth_samples, synth.synth_features,
+                synth.synth_latent_rules, synth.synth_noise, synth.seed) == (
+            spec.n_samples, spec.n_features, spec.n_latent_rules,
+            spec.noise_std, spec.seed)
         grid = SweepConfig()
         assert tuple(range(sweep.rules_min, sweep.rules_max + 1)) \
             == grid.rule_counts

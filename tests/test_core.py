@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -292,6 +293,21 @@ class TestRuleBaseValidation:
         rb.w[0, 0] = 0.5
         with pytest.raises(ValueError, match="order-0"):
             rb.validate()
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda rb: {"c1": rb.c1[0]}, "c1 must be 2-d (rules x features)"),
+        (lambda rb: {"b": rb.b[:, None]}, "b must be 1-d (one bias per rule)"),
+        (lambda rb: {"c2": rb.c2[:, :1]}, "c2 shape mismatch: want (2, 2)"),
+        (lambda rb: {"b": rb.b[:1]}, "b shape mismatch: want (2,)"),
+        (lambda rb: {name: getattr(rb, name)[:0] for name in
+                     ("c1", "c2", "sigma", "w", "b")},
+         "need at least one rule and one feature"),
+    ], ids=["1-d-c1", "2-d-b", "c2-shape", "b-length", "zero-rules"])
+    def test_rejects_malformed_arrays(self, rng, change, message):
+        rb = random_rulebase(rng, 2, 2)
+        with pytest.raises(ValueError) as info:
+            dataclasses.replace(rb, **change(rb)).validate()
+        assert str(info.value) == message
 
     def test_predict_arrays_shape_check(self, rng):
         rb = random_rulebase(rng, 2, 3)

@@ -34,6 +34,15 @@ class TestLoadCsv:
         assert raw.feature_names == ["a", "b"]
         assert raw.n_rows == 2
 
+    def test_zero_byte_file_fails(self, tmp_path):
+        path = _write(tmp_path, "d.csv", "")
+        for read in (lambda: load_csv(path, "energy_mwh"),
+                     lambda: load_features(path, ["a"])):
+            with pytest.raises(ValueError) as info:
+                read()
+            assert str(info.value) == \
+                f"{path}: empty file, expected a header row"
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="nope.csv"):
             load_csv(tmp_path / "nope.csv", "energy_mwh")
@@ -430,3 +439,6 @@ class TestGenerateSynthetic:
             SyntheticSpec(n_features=0).validate()
         with pytest.raises(ValueError):
             SyntheticSpec(noise_std=-0.1).validate()
+        with pytest.raises(ValueError) as info:
+            SyntheticSpec(n_latent_rules=0).validate()
+        assert str(info.value) == "n_latent_rules must be >= 1"

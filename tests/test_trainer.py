@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -321,6 +322,21 @@ class TestTrain:
         np.testing.assert_array_equal(a[0].b, b[0].b)
         assert [r.val_mse for r in a[1].history] == \
             [r.val_mse for r in b[1].history]
+
+    def test_rejects_empty_training_split(self):
+        rb, data = _toy_training_setup()
+        empty = dataclasses.replace(data, train_idx=data.train_idx[:0])
+        with pytest.raises(ValueError) as info:
+            train(rb, empty, TrainConfig(max_epochs=1))
+        assert str(info.value) == "training split is empty"
+
+    def test_rejects_rule_base_of_wrong_arity(self):
+        rb, _ = _toy_training_setup(features=3)
+        _, data = _toy_training_setup(features=2)
+        with pytest.raises(ValueError) as info:
+            train(rb, data, TrainConfig(max_epochs=1))
+        assert str(info.value) == \
+            "rule base arity does not match the dataset"
 
     def test_early_stopping_returns_best_epoch(self):
         # noisy and over-parameterized so validation stalls well before
