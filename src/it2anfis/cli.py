@@ -165,8 +165,7 @@ def cmd_explain(args) -> int:
 def cmd_evaluate(args) -> int:
     rb, feature_scalers, target_scaler, _ = load_model(args.model)
     names = [s.name for s in feature_scalers]
-    raw = load_csv(args.data, target_scaler.name, args.date_col,
-                   features=names)
+    raw = load_csv(args.data, target_scaler.name, features=names)
     cols = [raw.column_names.index(c) for c in names]
     X = _scale_features(raw.rows[:, cols], feature_scalers)
     y_true = raw.rows[:, raw.column_names.index(target_scaler.name)]
@@ -181,16 +180,13 @@ def cmd_evaluate(args) -> int:
 
 def _sweep_grid(args) -> tuple[tuple[int, ...], tuple[Mode, ...]]:
     """The rule counts and modes a sweep's flags name, token by token."""
-    if args.rules_list:
-        rule_counts = []
-        for tok in args.rules_list.split(","):
-            try:
-                rule_counts.append(int(tok))
-            except ValueError:
-                raise ValueError(f"--rules-list: {tok!r} is not an "
-                                 f"integer") from None
-    else:
-        rule_counts = range(args.rules_min, args.rules_max + 1)
+    rule_counts = []
+    for tok in args.rules_list.split(","):
+        try:
+            rule_counts.append(int(tok))
+        except ValueError:
+            raise ValueError(f"--rules-list: {tok!r} is not an "
+                             f"integer") from None
     modes = []
     for tok in args.modes.split(","):
         if tok not in LABEL_MODES:
@@ -285,20 +281,17 @@ def build_parser() -> argparse.ArgumentParser:
                                              "on a labeled CSV")
     p_eval.add_argument("--model", required=True)
     p_eval.add_argument("--data", required=True)
-    p_eval.add_argument("--date-col", default=None)
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_sweep = sub.add_parser("sweep", help="rule-count x seed benchmark "
                                            "grid")
     _add_data_flags(p_sweep)
     _add_optimizer_flags(p_sweep)
-    p_sweep.add_argument("--rules-min", type=int,
-                         default=min(SweepConfig.rule_counts))
-    p_sweep.add_argument("--rules-max", type=int,
-                         default=max(SweepConfig.rule_counts))
-    p_sweep.add_argument("--rules-list",
-                         help="comma-separated rule counts, overrides "
-                              "--rules-min/--rules-max")
+    p_sweep.add_argument("--rules-list", default=",".join(
+                             map(str, SweepConfig.rule_counts)),
+                         help="comma-separated rule counts (default: "
+                              f"{min(SweepConfig.rule_counts)}.."
+                              f"{max(SweepConfig.rule_counts)})")
     p_sweep.add_argument("--seeds", type=int, default=SweepConfig.n_seeds,
                          help="seeds per (mode, rule count), at most "
                               f"{MAX_SEEDS}")

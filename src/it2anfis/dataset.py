@@ -45,11 +45,6 @@ class RawTable:
     def n_rows(self) -> int:
         return self.rows.shape[0]
 
-    @property
-    def feature_names(self) -> list[str]:
-        """Numeric columns other than the target."""
-        return [c for c in self.column_names if c != self.target_column]
-
 
 @dataclass
 class FeatureScaler:
@@ -252,23 +247,32 @@ def load_csv(path: str | Path, target_column: str,
     data line; the first bad row fails the read (see ``_read_csv``).
     Given ``features``, only those columns and the target are parsed,
     in header order, and any other column is never read.  Raises on a
-    missing file, a missing target or date column, a file with no data
-    rows, or a named feature that the header lacks, in that order.
+    missing file, a missing target or date column, a date column that is
+    the target, a named feature that the header lacks, no feature column
+    beside the target, or a file with no data rows, in that order; all
+    but the last before any row is parsed.
     """
     def numeric_columns(header: list[str]) -> list[str]:
         for role, name in (("target", target_column), ("date", date_column)):
             if name is not None and name not in header:
                 raise ValueError(f"{role} column {name!r} not in header "
                                  f"{header}")
-        return [h for h in header if h != date_column and (
+        if date_column == target_column:
+            raise ValueError(f"date column {date_column!r} is also the "
+                             f"target column")
+        names = [h for h in header if h != date_column and (
             features is None or h in features or h == target_column)]
+        missing = [c for c in features or () if c not in names]
+        if missing:
+            raise ValueError(f"missing model feature columns {missing}")
+        if names == [target_column]:
+            raise ValueError(f"no feature column beside target column "
+                             f"{target_column!r}")
+        return names
 
     names, rows = _read_csv(path, numeric_columns)
     if rows.shape[0] == 0:
         raise ValueError(f"{path}: zero usable rows below the header")
-    missing = [c for c in features or () if c not in names]
-    if missing:
-        raise ValueError(f"{path}: missing model feature columns {missing}")
     return RawTable(column_names=names, rows=rows,
                     target_column=target_column)
 

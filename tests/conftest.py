@@ -4,7 +4,9 @@ ref_membership and ref_predict below are a deliberately plain
 pure-Python re-derivation of the membership bounds and the inference
 chain (math module only, no shared code with the package), used as the
 ground truth the fast paths must agree with.  ``bounds`` is the array
-membership that ships, for the tests that check it.
+membership that ships, for the tests that check it, and ``half_mse`` is
+the loss by the shipped predictor, which ``fd_gradient`` differentiates
+centrally for the gradient oracles.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 
 from it2anfis import kernels
-from it2anfis.core import Mode, RuleBase
+from it2anfis.core import Mode, RuleBase, predict_arrays
 from it2anfis.dataset import (Dataset, FeatureScaler, TargetScaler,
                               generate_synthetic, normalize_and_split,
                               SyntheticSpec)
@@ -99,6 +101,33 @@ def ref_half_mse(rb: RuleBase, X: np.ndarray, y: np.ndarray) -> float:
                                 rb.b.tolist(), rb.q, X[n].tolist())
         total += (y_p - y[n]) ** 2
     return 0.5 * total / X.shape[0]
+
+
+def half_mse(rb: RuleBase, X: np.ndarray, y: np.ndarray) -> float:
+    """Half mean squared error via the package's own predictor."""
+    return 0.5 * float(np.mean((predict_arrays(rb, X)[2] - y) ** 2))
+
+
+def fd_gradient(rb: RuleBase, X, y, array_name: str, index,
+                step: float = 1e-6) -> float:
+    """Central difference of ``half_mse`` in one rule-base element."""
+    arr = getattr(rb, array_name)
+    keep = arr[index]
+    arr[index] = keep + step
+    up = half_mse(rb, X, y)
+    arr[index] = keep - step
+    down = half_mse(rb, X, y)
+    arr[index] = keep
+    return (up - down) / (2.0 * step)
+
+
+def bits(a) -> np.ndarray:
+    """The float64 values of ``a`` as their uint64 bit patterns."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def assert_bits(got, want) -> None:
+    np.testing.assert_array_equal(bits(got), bits(want))
 
 
 def random_rulebase(rng: np.random.Generator, R: int, F: int,

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from it2anfis.core import Mode, RuleBase, predict_arrays, strengths
+from it2anfis.core import Mode, predict_arrays, strengths
 from it2anfis.dataset import (RawTable, SyntheticSpec, generate_synthetic,
                               load_csv, normalize_and_split)
 from it2anfis.explainer import explain_instance
@@ -31,7 +31,7 @@ from it2anfis.modelio import load_model, save_model
 from it2anfis.dataset import FeatureScaler, TargetScaler
 
 from conftest import (ACCEPTANCE_RESULTS, bounds, draw_off_seam,
-                      random_rulebase)
+                      fd_gradient, random_rulebase)
 
 
 def _record(num: int, summary: str, passed: bool, detail: str = "") -> None:
@@ -71,23 +71,6 @@ def test_criterion_01_fou_ordering():
             f"plateau_exact={plateau_exact}")
 
 
-def _half_mse(rb: RuleBase, X: np.ndarray, y: np.ndarray) -> float:
-    _, _, y_pred = predict_arrays(rb, X)
-    return 0.5 * float(np.mean((y_pred - y) ** 2))
-
-
-def _fd(rb: RuleBase, X, y, array_name: str, index,
-        step: float = 1e-6) -> float:
-    arr = getattr(rb, array_name)
-    keep = arr[index]
-    arr[index] = keep + step
-    up = _half_mse(rb, X, y)
-    arr[index] = keep - step
-    down = _half_mse(rb, X, y)
-    arr[index] = keep
-    return (up - down) / (2.0 * step)
-
-
 def _close(analytic: float, fd: float) -> bool:
     return abs(analytic - fd) <= 1e-4 * max(abs(analytic), abs(fd)) + 1e-8
 
@@ -112,11 +95,11 @@ def test_criterion_02_gradient_oracle():
         d_c1, d_c2 = antecedent_gradients(rb, X, y, st)
         checks = []
         for j in range(R):
-            checks.append((d_b[j], _fd(rb, X, y, "b", j)))
+            checks.append((d_b[j], fd_gradient(rb, X, y, "b", j)))
             for f in range(F):
-                checks.append((d_w[j, f], _fd(rb, X, y, "w", (j, f))))
-                checks.append((d_c1[j, f], _fd(rb, X, y, "c1", (j, f))))
-                checks.append((d_c2[j, f], _fd(rb, X, y, "c2", (j, f))))
+                checks.append((d_w[j, f], fd_gradient(rb, X, y, "w", (j, f))))
+                checks.append((d_c1[j, f], fd_gradient(rb, X, y, "c1", (j, f))))
+                checks.append((d_c2[j, f], fd_gradient(rb, X, y, "c2", (j, f))))
         for analytic, fd in checks:
             allowed = 1e-4 * max(abs(analytic), abs(fd)) + 1e-8
             worst = max(worst, abs(analytic - fd) / allowed)

@@ -436,6 +436,30 @@ class TestInputPolicy:
             assert capsys.readouterr().err.strip() == \
                 f"error: {data}: header repeats column 'x1'", command
 
+    @pytest.mark.parametrize("header, date, message", [
+        ("x1,x2,energy_mwh", "energy_mwh",
+         "date column 'energy_mwh' is also the target column"),
+        ("energy_mwh", None,
+         "no feature column beside target column 'energy_mwh'"),
+        ("date,energy_mwh", "date",
+         "no feature column beside target column 'energy_mwh'"),
+    ], ids=["date-is-target", "target-only", "date-and-target-only"])
+    def test_no_feature_column_fails_train_and_sweep(
+            self, workspace, tmp_path, capsys, header, date, message):
+        # every cell is text, so only a check made before any row is
+        # parsed can give the message
+        data = tmp_path / "d.csv"
+        data.write_text(header + "\n" + "\n".join(
+            ",".join(["2024-01-01"] * (header.count(",") + 1))
+            for _ in range(20)) + "\n")
+        date_flag = ["--date-col", date] if date else []
+        for command in ("train", "sweep"):
+            argv = self._commands(workspace, data)[command]
+            assert main(argv + date_flag) == 1, command
+            assert capsys.readouterr().err.strip() == \
+                f"error: {data}: {message}", command
+        assert not (workspace["root"] / "policy.out").exists()
+
 
 class TestSweepCommand:
     def test_grid_csv_summary_and_chart(self, workspace):
@@ -636,6 +660,18 @@ class TestParser:
         assert (second.command, second.model) == ("evaluate", "m2")
         assert not hasattr(second, "out")
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--data", "d", "--rules-min", "3"],
+        ["sweep", "--data", "d", "--rules-max", "9"],
+        ["evaluate", "--model", "m", "--data", "d", "--date-col", "d"],
+    ], ids=["rules-min", "rules-max", "evaluate-date-col"])
+    def test_removed_flags_are_unrecognized(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(argv)
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in \
+            capsys.readouterr().err
+
     def test_defaults_are_the_configs(self):
         parser = build_parser()
         train, sweep = (parser.parse_args([command, "--data", "d"])
@@ -654,7 +690,7 @@ class TestParser:
             spec.n_samples, spec.n_features, spec.n_latent_rules,
             spec.noise_std, spec.seed)
         grid = SweepConfig()
-        assert tuple(range(sweep.rules_min, sweep.rules_max + 1)) \
+        assert tuple(int(r) for r in sweep.rules_list.split(",")) \
             == grid.rule_counts
         assert (sweep.seeds, sweep.parallelism, sweep.seed) == (
             grid.n_seeds, grid.parallelism, grid.seed_base)

@@ -31,7 +31,8 @@ class TestLoadCsv:
                       "a,b,energy_mwh\n1,2,10\n3,4,20\n")
         raw = load_csv(path, "energy_mwh")
         assert raw.column_names == ["a", "b", "energy_mwh"]
-        assert raw.feature_names == ["a", "b"]
+        assert [c for c in raw.column_names
+                if c != raw.target_column] == ["a", "b"]
         assert raw.n_rows == 2
 
     def test_zero_byte_file_fails(self, tmp_path):
@@ -85,6 +86,28 @@ class TestLoadCsv:
         path = _write(tmp_path, "d.csv", "a,energy_mwh\n1,10\n")
         with pytest.raises(ValueError, match="'when'"):
             load_csv(path, "energy_mwh", date_column="when")
+
+    @pytest.mark.parametrize("header, date, features, expected", [
+        ("a,energy_mwh", "energy_mwh", None,
+         "date column 'energy_mwh' is also the target column"),
+        ("energy_mwh", None, None,
+         "no feature column beside target column 'energy_mwh'"),
+        ("date,energy_mwh", "date", None,
+         "no feature column beside target column 'energy_mwh'"),
+        ("a,energy_mwh", None, ["a", "b"],
+         "missing model feature columns ['b']"),
+    ], ids=["date-is-target", "target-only", "date-and-target-only",
+            "missing-feature"])
+    def test_column_selection_fails_before_any_row(self, tmp_path, header,
+                                                   date, features, expected):
+        # the one data row is not numeric and the header-only file has
+        # none: the selection check must come first either way
+        for name, body in (("bad.csv", "x\n"), ("empty.csv", "")):
+            path = _write(tmp_path, name, header + "\n" + body)
+            with pytest.raises(ValueError) as info:
+                load_csv(path, "energy_mwh", date_column=date,
+                         features=features)
+            assert str(info.value) == f"{path}: {expected}"
 
     def test_non_utf8_cell_fails_naming_line_and_column(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -430,7 +453,8 @@ class TestGenerateSynthetic:
                                                n_features=13, seed=0))
         assert raw.rows.shape == (1000, 14)
         assert raw.target_column == "energy_mwh"
-        assert len(raw.feature_names) == 13
+        assert len([c for c in raw.column_names
+                    if c != raw.target_column]) == 13
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):

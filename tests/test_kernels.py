@@ -10,7 +10,7 @@ import pytest
 
 from it2anfis import kernels
 
-from conftest import bounds, random_rulebase, ref_membership
+from conftest import bits, bounds, random_rulebase, ref_membership
 
 
 class TestMembership:
@@ -45,10 +45,6 @@ class TestMembership:
 def _rule_base(rng, R, F):
     c = np.sort(rng.uniform(0.0, 1.0, (2, R, F)), axis=0)
     return c[0], c[1], rng.uniform(0.2, 0.6, (R, F))
-
-
-def _bits(a):
-    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
 
 def _reference_fire(X, c1, c2, sigma):
@@ -93,7 +89,7 @@ class TestFire:
                 got = kernels.fire(X[rows], c1, c2, sigma)
                 want = _reference_fire(X[rows], c1, c2, sigma)
                 for g, w in zip(got, want):
-                    np.testing.assert_array_equal(_bits(g), _bits(w))
+                    np.testing.assert_array_equal(bits(g), bits(w))
 
     def test_is_product_of_scalar_bounds(self, rng):
         for R, F in [(1, 1), (3, 2), (6, 4), (5, 9)]:
@@ -223,8 +219,8 @@ class TestNormalizeReduce:
         got = _Reduced(st.f[:, 0], st.f[:, 1], y_l, y_u, y_p,
                        st.inv[:, 0], st.inv[:, 1])
         for name in _Reduced._fields:
-            np.testing.assert_array_equal(_bits(getattr(got, name)),
-                                          _bits(getattr(want, name)),
+            np.testing.assert_array_equal(bits(getattr(got, name)),
+                                          bits(getattr(want, name)),
                                           err_msg=name)
         assert st.mu_l is mu_l and st.mu_u is mu_u
 
@@ -314,7 +310,7 @@ class TestRowLoops:
                                            rb.q)
             assert np.getbufsize() == bufsize
             for g, w in zip(got_mu + got_d, want_mu + want_d):
-                np.testing.assert_array_equal(_bits(g), _bits(w))
+                np.testing.assert_array_equal(bits(g), bits(w))
 
     def test_callers_buffer_restored_when_the_loop_raises(
             self, rng, bufsize, monkeypatch):

@@ -20,24 +20,8 @@ from it2anfis.trainer import (ETA_ANT_BOUNDS, ETA_CONS_BOUNDS, TrainConfig,
                               apply_consequent_update, consequent_gradients,
                               enforce_constraints, train)
 
-from conftest import draw_off_seam, random_rulebase, ref_half_mse
-
-
-def _numeric_half_mse(rb: RuleBase, X, y) -> float:
-    _, _, y_pred = predict_arrays(rb, X)
-    return 0.5 * float(np.mean((y_pred - y) ** 2))
-
-
-def _fd_gradient(rb: RuleBase, X, y, array_name: str, index,
-                 step: float = 1e-6) -> float:
-    arr = getattr(rb, array_name)
-    keep = arr[index]
-    arr[index] = keep + step
-    up = _numeric_half_mse(rb, X, y)
-    arr[index] = keep - step
-    down = _numeric_half_mse(rb, X, y)
-    arr[index] = keep
-    return (up - down) / (2.0 * step)
+from conftest import (draw_off_seam, fd_gradient, half_mse, random_rulebase,
+                      ref_half_mse)
 
 
 class TestConsequentGradients:
@@ -67,17 +51,17 @@ class TestConsequentGradients:
         y = rng.normal(size=4)
         d_w, d_b = consequent_gradients(rb, X, y, strengths(rb, X).f)
         for j in range(3):
-            fd_b = _fd_gradient(rb, X, y, "b", j)
+            fd_b = fd_gradient(rb, X, y, "b", j)
             assert d_b[j] == pytest.approx(fd_b, rel=1e-6, abs=1e-9)
             for f in range(2):
-                fd_w = _fd_gradient(rb, X, y, "w", (j, f))
+                fd_w = fd_gradient(rb, X, y, "w", (j, f))
                 assert d_w[j, f] == pytest.approx(fd_w, rel=1e-6, abs=1e-9)
 
     def test_loss_reference_agrees(self, rng):
         rb = random_rulebase(rng, 2, 2)
         X = rng.random((5, 2))
         y = rng.normal(size=5)
-        assert _numeric_half_mse(rb, X, y) == \
+        assert half_mse(rb, X, y) == \
             pytest.approx(ref_half_mse(rb, X, y), rel=1e-12)
 
 
@@ -141,8 +125,8 @@ class TestApplyConsequentUpdate:
 def _assert_matches_fd(rb: RuleBase, X, y) -> None:
     d_c1, d_c2 = antecedent_gradients(rb, X, y, strengths(rb, X))
     for j, f in np.ndindex(d_c1.shape):
-        fd1 = _fd_gradient(rb, X, y, "c1", (j, f))
-        fd2 = _fd_gradient(rb, X, y, "c2", (j, f))
+        fd1 = fd_gradient(rb, X, y, "c1", (j, f))
+        fd2 = fd_gradient(rb, X, y, "c2", (j, f))
         assert d_c1[j, f] == pytest.approx(fd1, rel=1e-4, abs=1e-8)
         assert d_c2[j, f] == pytest.approx(fd2, rel=1e-4, abs=1e-8)
 

@@ -20,17 +20,9 @@ from it2anfis.dataset import TargetScaler
 from it2anfis.explainer import explain_instance
 from it2anfis.trainer import antecedent_gradients
 
-from conftest import random_rulebase
+from conftest import assert_bits, half_mse, random_rulebase
 
 TYPE1 = (Mode.TYPE1_ORDER1, Mode.TYPE1_ORDER0)
-
-
-def _bits(a):
-    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
-
-
-def _assert_bits(got, want):
-    np.testing.assert_array_equal(_bits(got), _bits(want))
 
 
 def _problem(rng, mode, R, N, F=13):
@@ -75,22 +67,22 @@ class TestOneSidedBits:
             mu = kernels.fire_collapsed(X, rb.c1, rb.sigma)
             assert np.getbufsize() == bufsize
             mu_l, mu_u = kernels.fire(X, rb.c1, rb.c2, rb.sigma)
-            _assert_bits(mu, mu_l)
-            _assert_bits(mu, mu_u)
+            assert_bits(mu, mu_l)
+            assert_bits(mu, mu_u)
             assert (mu[3::11] == 0.0).all()
 
             one, two = strengths(rb, X), _two_sided(rb, X)
             assert one.f.shape == (N, 1, R) and one.inv.shape == (N, 1)
             assert one.mu_l is one.mu_u
-            _assert_bits(one.mu_l, mu)
+            assert_bits(one.mu_l, mu)
             for side in (0, 1):
-                _assert_bits(one.f[:, 0], two.f[:, side])
-                _assert_bits(one.inv[:, 0], two.inv[:, side])
+                assert_bits(one.f[:, 0], two.f[:, side])
+                assert_bits(one.inv[:, 0], two.inv[:, side])
             assert (one.inv[3::11] == 0.0).all()
             for got, want in zip(forward(rb, X, one.f),
                                  forward(rb, X, two.f)):
-                _assert_bits(got, want)
-            _assert_bits(np.stack(predict_arrays(rb, X)),
+                assert_bits(got, want)
+            assert_bits(np.stack(predict_arrays(rb, X)),
                          _two_sided_predict(rb, X))
 
     def test_explain_instance_anfis0(self, rng, bufsize):
@@ -98,7 +90,7 @@ class TestOneSidedBits:
         for N in (1, 3, 128, 1280):
             rb, X, _ = _problem(rng, Mode.TYPE1_ORDER0, 50, N)
             want = scaler.inverse(_two_sided_predict(rb, X))
-            _assert_bits(np.stack(explain_instance(rb, X, scaler)), want)
+            assert_bits(np.stack(explain_instance(rb, X, scaler)), want)
 
 
 class TestGuard:
@@ -112,10 +104,6 @@ class TestGuard:
         for call in (strengths, predict_arrays):
             with pytest.raises(ValueError, match=mode.value):
                 call(rb, X)
-
-
-def _half_mse(rb, X, y):
-    return 0.5 * float(np.mean((predict_arrays(rb, X)[2] - y) ** 2))
 
 
 def test_type1_centre_gradient_oracle():
@@ -139,7 +127,7 @@ def test_type1_centre_gradient_oracle():
                 losses = []
                 for c in (keep + step, keep - step):
                     rb.c1[j, f] = rb.c2[j, f] = c
-                    losses.append(_half_mse(rb, X, y))
+                    losses.append(half_mse(rb, X, y))
                 rb.c1[j, f] = rb.c2[j, f] = keep
                 fd = (losses[0] - losses[1]) / (2.0 * step)
                 analytic = d_c1[j, f] + d_c2[j, f]
