@@ -183,10 +183,13 @@ def _sweep_grid(args) -> tuple[tuple[int, ...], tuple[Mode, ...]]:
     rule_counts = []
     for tok in args.rules_list.split(","):
         try:
-            rule_counts.append(int(tok))
+            count = int(tok)
         except ValueError:
             raise ValueError(f"--rules-list: {tok!r} is not an "
                              f"integer") from None
+        if count < 1:
+            raise ValueError(f"--rules-list: {tok!r} is below 1")
+        rule_counts.append(count)
     modes = []
     for tok in args.modes.split(","):
         if tok not in LABEL_MODES:

@@ -175,6 +175,10 @@ def render_rule_svg(rb: RuleBase, rule_index: int,
     One panel per feature: upper and lower curves with the enclosed
     footprint shaded.
     """
+    # imported here, not at module level: xml.sax.saxutils pulls in
+    # urllib.request, several MB of RSS that only SVG output needs
+    from xml.sax.saxutils import escape
+
     if not 0 <= rule_index < rb.n_rules:
         raise ValueError(f"rule_index out of range: {rule_index}")
     _check_feature_names(rb, feature_names)
@@ -212,7 +216,7 @@ def render_rule_svg(rb: RuleBase, rule_index: int,
             f'<polyline points="{lower}" fill="none" stroke="#aa3344" '
             f'stroke-width="1.5"/>',
             f'<text x="{pad}" y="{y0 + panel_h + pad * 0.55:.1f}" '
-            f'font-size="11" font-family="sans-serif">{name} '
+            f'font-size="11" font-family="sans-serif">{escape(name)} '
             f'(c1 {_fmt(c1[f])}, c2 {_fmt(c2[f])}, '
             f'sigma {_fmt(sigma[f])})</text>',
         ])

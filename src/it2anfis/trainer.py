@@ -20,9 +20,10 @@ once before the loop and once after each antecedent update, into one
 As in Jang's hybrid learning, the premise part is fixed while the
 consequents learn: each epoch gathers its shuffled rows of the
 (N, S, R) normalized strengths once and the mini-batch consequent steps
-read slices of them, and the antecedent gradient, the q update and the
-train error read the whole of it.  Every gradient function takes its
-strengths as an argument; only ``core.strengths`` computes them.
+read slices of them, and the antecedent gradient and the train error
+read the whole of it.  Every gradient function takes its strengths as
+an argument; only ``core.strengths`` computes them.  The blend factor
+``q`` is fixed: training reads it and never writes it.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ class TrainConfig:
     lambda_l2: float = 0.001
     patience: int = 50
     seed: int = 0
-    learn_q: bool = False
     log_path: str | Path | None = None
 
     def validate(self) -> None:
@@ -242,12 +242,6 @@ def _mse(y_pred: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean((y_pred - y) ** 2))
 
 
-def _q_gradient(rb: RuleBase, X: np.ndarray, y: np.ndarray,
-                f: np.ndarray) -> float:
-    y_l, y_u, y_p = forward(rb, X, f)
-    return float(np.mean((y_p - y) * (y_l - y_u)))
-
-
 def train(rb: RuleBase, data: Dataset, cfg: TrainConfig,
           epoch_callback=None) -> tuple[RuleBase, TrainState]:
     """Run the full epoch loop and return the best-validation model.
@@ -306,11 +300,6 @@ def train(rb: RuleBase, data: Dataset, cfg: TrainConfig,
             apply_antecedent_update(rb, d_c1, d_c2, state.eta_ant)
             _check_finite(rb, epoch)
             st = strengths(rb, Xtr)
-
-            if cfg.learn_q:
-                rb.q = float(np.clip(
-                    rb.q - state.eta_ant * _q_gradient(rb, Xtr, ytr, st.f),
-                    0.0, 1.0))
 
             train_mse = _mse(forward(rb, Xtr, st.f)[2], ytr)
             val_mse = _mse(predict_arrays(rb, Xval)[2], yval)

@@ -521,8 +521,11 @@ class TestSweepCommand:
          "anfis1"),
         (["--rules-list", "3,,4"], "--rules-list: '' is not an integer"),
         (["--rules-list", "3,x"], "--rules-list: 'x' is not an integer"),
+        (["--rules-list", "0"], "--rules-list: '0' is below 1"),
+        (["--rules-list=-3,4"], "--rules-list: '-3' is below 1"),
     ], ids=["repeated-rules", "repeated-mode", "unknown-mode",
-            "empty-rule-count", "non-integer-rule-count"])
+            "empty-rule-count", "non-integer-rule-count", "zero-rule-count",
+            "negative-rule-count"])
     def test_bad_grid_names_flag_and_token(self, workspace, capsys, grid,
                                            message):
         out = workspace["root"] / "grid.csv"

@@ -296,3 +296,14 @@ class TestRenderRuleSvg:
         rb = random_rulebase(rng, 2, 2)
         with pytest.raises(ValueError, match="arity"):
             render_rule_svg(rb, 0, names)
+
+    def test_markup_in_feature_names_is_escaped(self, rng):
+        # CSV headers are free text; each name must reach its <text>
+        # node as character data, not as markup
+        rb = random_rulebase(rng, 2, 3)
+        names = ["P&N", "flow<m3/d>", "a"]
+        svg = render_rule_svg(rb, 1, names)
+        labels = [el.text for el in ET.fromstring(svg).iter()
+                  if el.tag.endswith("}text")][1:]
+        assert [label.split(" (c1 ", 1)[0] for label in labels] == names
+        assert ">a (c1 " in svg

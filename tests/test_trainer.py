@@ -398,11 +398,16 @@ class TestTrain:
         with pytest.raises(TrainingDiverged, match="'w' at epoch 7"):
             _check_finite(rb, 7)
 
-    def test_learn_q_stays_in_unit_interval(self):
-        rb, data = _toy_training_setup()
-        cfg = TrainConfig(max_epochs=10, patience=50, seed=5, learn_q=True)
-        best, _ = train(rb, data, cfg)
-        assert 0.0 <= best.q <= 1.0
+    @pytest.mark.parametrize("q", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("mode", [Mode.IT2, Mode.TYPE1_ORDER1])
+    def test_q_stays_as_given(self, mode, q):
+        rb, data = _toy_training_setup(seed=5, mode=mode)
+        rb.q = q
+        best, state = train(rb, data, TrainConfig(max_epochs=5, seed=5))
+        assert all(math.isfinite(r.train_mse) and math.isfinite(r.val_mse)
+                   for r in state.history)
+        assert len(state.history) == 5
+        assert best.q.hex() == q.hex()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -467,10 +472,6 @@ def _uncached_train(rb, data, cfg):
                                     cfg.lambda_l1, cfg.lambda_l2)
         d_c1, d_c2 = antecedent_gradients(rb, Xtr, ytr, strengths(rb, Xtr))
         apply_antecedent_update(rb, d_c1, d_c2, state.eta_ant)
-        if cfg.learn_q:
-            y_l, y_u, y_p = predict_arrays(rb, Xtr)
-            q_grad = float(np.mean((y_p - ytr) * (y_l - y_u)))
-            rb.q = float(np.clip(rb.q - state.eta_ant * q_grad, 0.0, 1.0))
         train_mse, val_mse = mse(Xtr, ytr), mse(Xval, yval)
         adapt_learning_rates(state, mse_prev, train_mse)
         mse_prev = train_mse
@@ -484,15 +485,13 @@ def _uncached_train(rb, data, cfg):
 
 
 class TestMembershipCache:
-    @pytest.mark.parametrize("mode, learn_q, far_rows", [
-        pytest.param(Mode.IT2, True, 0, id="Mode.IT2-True"),
-        pytest.param(Mode.TYPE1_ORDER1, False, 0,
-                     id="Mode.TYPE1_ORDER1-False"),
-        pytest.param(Mode.IT2, True, 5, id="Mode.IT2-True-fallback-rows"),
+    @pytest.mark.parametrize("mode, far_rows", [
+        pytest.param(Mode.IT2, 0, id="Mode.IT2"),
+        pytest.param(Mode.TYPE1_ORDER1, 0, id="Mode.TYPE1_ORDER1"),
+        pytest.param(Mode.IT2, 5, id="Mode.IT2-fallback-rows"),
     ])
-    def test_train_matches_uncached_loop(self, mode, learn_q, far_rows):
-        cfg = TrainConfig(max_epochs=8, patience=50, seed=4, batch_size=32,
-                          learn_q=learn_q)
+    def test_train_matches_uncached_loop(self, mode, far_rows):
+        cfg = TrainConfig(max_epochs=8, patience=50, seed=4, batch_size=32)
         rb, data = _toy_training_setup(seed=2, n=300, mode=mode, rules=5,
                                        features=3)
         # training rows far from every rule take the uniform fallback
@@ -529,7 +528,7 @@ class TestMembershipCache:
         for module, fire_name in ((kernels, "fire"), (core, "_fire_batch")):
             monkeypatch.setattr(module, fire_name, fire)
             monkeypatch.setattr(module, "normalize", normalize)
-        cfg = TrainConfig(max_epochs=6, patience=50, seed=1, learn_q=True)
+        cfg = TrainConfig(max_epochs=6, patience=50, seed=1)
         train(rb, data, cfg)
         for rows in (fired, normalized):
             assert rows.count(n_train) == cfg.max_epochs + 1
