@@ -10,32 +10,41 @@ membership degree.  The explainer's plots apply both to single
 antecedents, and the tests check them against a scalar reference and use
 them as the broadcast reference of the batch kernels.
 
-The batch kernels run rules-major.  They take each input's offsets
-a = x - c1 and -b = c2 - x from the (F, N) transpose of the inputs, one
-block of rules at a time, so every numpy inner loop runs over the N rows
-rather than the F features, a block's temporaries stay within
-``RULE_BLOCK_BYTES``, and no kernel picks between a and b with a
-data-dependent ``np.where``.  A rule's firing strength is a product of
-Gaussians, so ``fire`` takes it in log space from the offsets' sizes
-alone, |d_l| = max(a, -b) and |d_u| = -min(a, -b, 0), squared, scaled
-by -1 / (2 sigma**2), summed over features and exponentiated once per
-(row, rule).  The sum is one ``np.add.reduce`` over the feature axis per
-rule block; its inner loop runs over the rows, so every row adds its
-features one at a time in feature order and rounds the same way in any
-batch.  A lone row is fired as a two-row batch, because numpy would drop
-its length-1 row axis and sum the features pairwise.  |d_l| and |d_u|
-equal the sizes of ``membership_offsets``'s d_l and d_u bit for bit,
-except that at a midpoint tie |d_l| may take the other of two offsets
-that differ by an ulp.  ``ant_grads_from`` reuses the strengths through
+The batch kernels run rules-major.  They take each input's offsets from
+the (F, N) transpose of the inputs, one block of rules at a time, so
+every numpy inner loop runs over the N rows rather than the F features,
+a block's temporaries stay within ``RULE_BLOCK_BYTES``, and no kernel
+picks an offset with a data-dependent ``np.where``.  A rule's firing
+strength is a product of Gaussians, so ``fire`` takes it in log space
+from the sizes of a = x - c1 and -b = c2 - x alone, |d_l| = max(a, -b)
+and |d_u| = -min(a, -b, 0), squared, scaled by h = -1 / (2 sigma**2),
+summed over features and exponentiated once per (row, rule).  The scale
+and the sum are one ``np.einsum("rf,srfn->srn", h, d**2)`` per rule
+block, with ``optimize`` at its default of False: its loop rounds each
+product h d**2 and adds the features into the output one at a time in
+feature order, with the rows as its inner loop, so every row rounds the
+same way in any batch, and the same way as a scaling pass followed by
+``np.add.reduce`` over the features.  That rests on einsum not fusing
+the multiply and the add, which holds for the x86-64 wheels; a build
+that fuses them, such as aarch64 with NEON, rounds once per feature and
+gives other bits, and the slice-loop reference test then fails.  (Its
+zero start turns an all -0.0 sum into +0.0; exp maps both to 1.)  A lone
+row is fired as a two-row batch, because numpy would drop its length-1
+row axis and sum the features pairwise.  |d_l| and |d_u| equal the sizes
+of ``membership_offsets``'s d_l and d_u bit for bit, except that at a
+midpoint tie |d_l| may take the other of two offsets that differ by an
+ulp.  ``ant_grads_from`` reuses the strengths through
 d/dc prod_f g_f = (prod_f g_f) * d_f / sigma_f**2 on the active branch,
-so no leave-one-out product is needed, and takes the offsets afresh:
-that costs less than holding two (R, F, N) arrays.
+so no leave-one-out product is needed, and takes the offsets afresh, as
+|m - x| from the midpoint m: that costs less than holding two (R, F, N)
+arrays.  Its sums reorder the branch form's at roundoff, within a bound
+the tests check against a longdouble reference.
 
 The block loops of both kernels, and ``ant_grads_from``'s row weights,
 run with numpy's ufunc buffer capped at the row count from 128 rows up
 (``_row_loops``).
 Their ufuncs broadcast a per-(rule, feature) constant along the rows
-(``x - c1``, ``c2 - x``, ``d *= h``, ``XT > mid``), and numpy's buffered
+(``x - c1``, ``c2 - x``, ``m - x``, ``|u| - w``), and numpy's buffered
 iteration takes such a loop at about 1 ns per element once its buffer
 (8192 elements by default) holds more than about two rows, against
 0.3-0.5 ns with at most one row: at N = 1280 a broadcast subtract over
@@ -58,9 +67,9 @@ Collapsed (type-1) bounds c1 = c2 = c make -b = c - x exactly -(x - c),
 so ``fire``'s two sides are equal bit for bit.  ``fire_collapsed``
 computes that one side, ``normalize`` and ``reduce`` take the sides they
 are given, and a ``Strengths`` stores one side or two.  With one stored
-side ``ant_grads_from`` replaces its masked rule-block loop by one
-product over the summed row weights, which moves the gradient at
-roundoff, within a bound the tests check against a longdouble reference.
+side ``ant_grads_from`` replaces its rule-block loop by one product
+over the summed row weights, which moves the gradient at roundoff,
+within a bound the tests check against a longdouble reference.
 """
 
 from __future__ import annotations
@@ -138,24 +147,6 @@ def _row_loops(N):
         np.setbufsize(old)
 
 
-def _offset_blocks(XT, c1, c2, step):
-    """Walk the rules in blocks of ``step``, with their offsets.
-
-    XT is the (F, N) inputs, c1 and c2 the (R, F) means.  Yields
-    (rules, a, nb): a slice of rules and their (k, F, N) offsets
-    a = x - c1 and nb = c2 - x, in buffers that the next block
-    overwrites.  nb is -(x - c2) bit for bit, and c1 <= c2 gives
-    a >= -nb.
-    """
-    offsets = np.empty((2, step, *XT.shape))
-    for lo in range(0, c1.shape[0], step):
-        rules = slice(lo, min(lo + step, c1.shape[0]))
-        a, nb = offsets[:, :rules.stop - lo]
-        np.subtract(XT, c1[rules, :, None], out=a)
-        np.subtract(c2[rules, :, None], XT, out=nb)
-        yield rules, a, nb
-
-
 def _fire_columns(X):
     """``_columns`` of X, a lone row repeated as a two-row batch, so that
     the firing kernels' feature sum keeps the rows as its inner loop."""
@@ -179,23 +170,30 @@ def fire(X, c1, c2, sigma):
     XT = _fire_columns(X)
     (F, M), R = XT.shape, c1.shape[0]
     step = _block_rules(R, F, M)
-    h = (-0.5 / (sigma * sigma))[:, :, None]
+    h = -0.5 / (sigma * sigma)
+    # a = x - c1 and nb = c2 - x, which is -(x - c2) bit for bit; c1 <= c2
+    # gives a >= -nb
+    offsets = np.empty((2, step, F, M))
     d = np.empty((2, step, F, M))
     # per side, rules-major: the summed (d / sigma)**2 / -2
     z = np.empty((2, R, M))
     with _row_loops(M):
-        for rules, a, nb in _offset_blocks(XT, c1, c2, step):
-            d_r = d[:, :a.shape[0]]
+        for lo in range(0, R, step):
+            rules = slice(lo, min(lo + step, R))
+            a, nb = offsets[:, :rules.stop - lo]
+            d_r = d[:, :rules.stop - lo]
+            np.subtract(XT, c1[rules, :, None], out=a)
+            np.subtract(c2[rules, :, None], XT, out=nb)
             # |d_l| = max(|a|, |b|) = max(a, -b): the farther mean's offset
             np.maximum(a, nb, out=d_r[0])
             # |d_u| = -min(a, -b, 0): the nearer one's, 0 on the plateau
             np.minimum(a, nb, out=d_r[1])
             np.minimum(d_r[1], 0.0, out=d_r[1])
             np.square(d_r, out=d_r)
-            d_r *= h[rules]
-            # the rows are the inner loop, so each row adds its features
-            # one at a time in feature order: a fixed rounding per row
-            np.add.reduce(d_r, axis=2, out=z[:, rules])
+            # scale and feature sum in one pass; the rows are the inner
+            # loop, so each row adds its features one at a time in feature
+            # order: a fixed rounding per row
+            np.einsum("rf,srfn->srn", h[rules], d_r, out=z[:, rules])
     # exponentiate into the (2, N, R) result as it is transposed: at
     # R = 50 that is several times faster than a transposing copy
     mu = np.empty((2, N, R))
@@ -208,14 +206,14 @@ def fire_collapsed(X, c, sigma):
 
     Both of ``fire``'s offset sizes are then |x - c| and its mu_L and
     mu_U are equal bit for bit.  This takes that one side with ``fire``'s
-    rule blocks, ufunc buffer, scale and feature-sum order, in 4 passes
-    over a block instead of 11 and one exp instead of two.
+    rule blocks, ufunc buffer, scale and feature-sum order, in 3 passes
+    over a block instead of 9 and one exp instead of two.
     """
     N = X.shape[0]
     XT = _fire_columns(X)
     (F, M), R = XT.shape, c.shape[0]
     step = _block_rules(R, F, M)
-    h = (-0.5 / (sigma * sigma))[:, :, None]
+    h = -0.5 / (sigma * sigma)
     d = np.empty((step, F, M))
     z = np.empty((R, M))
     with _row_loops(M):
@@ -224,8 +222,7 @@ def fire_collapsed(X, c, sigma):
             d_r = d[:rules.stop - lo]
             np.subtract(XT, c[rules, :, None], out=d_r)
             np.square(d_r, out=d_r)
-            d_r *= h[rules]
-            np.add.reduce(d_r, axis=1, out=z[rules])
+            np.einsum("rf,rfn->rn", h[rules], d_r, out=z[rules])
     mu = np.empty((N, R))
     np.exp(z[:, :N].T, out=mu)
     return mu
@@ -308,12 +305,39 @@ def ant_grads_from(st, X, y, c1, c2, sigma, w, b, q):
     derivative w.r.t. that mean is the factor times d_f / sigma_f**2, so
     the strength's derivative is the strength times that ratio; no
     leave-one-out product is needed.  With a = x - c1 and b = x - c2,
-    the lower bound follows c1 past the midpoint (c1 + c2) / 2, where
-    max(d_l, 0) = a, and c2 elsewhere (a tie takes c2), where
-    min(d_l, 0) = b; the upper bound follows c1 through
-    min(d_u, 0) = min(a, 0) and c2 through max(d_u, 0) = max(b, 0), both
-    0 on the plateau.  At piecewise seams the active branch's one-sided
-    derivative is used.  Returns (d_c1, d_c2), each (R, F).
+    the lower bound follows c1 past the midpoint m = (c1 + c2) / 2 and
+    c2 elsewhere (a tie takes c2); the upper bound follows c1 through
+    min(a, 0) and c2 through max(b, 0), both 0 on the plateau.  At
+    piecewise seams the active branch's one-sided derivative is used.
+    With the row weights W_l = (y_r - y_l) q e inv_l mu_l and
+    W_u = (y_r - y_u) (1 - q) e inv_u mu_u (inv is 0 on uniform-fallback
+    rows, which are locally constant in c), that is
+
+        d_c1 = sum_n (W_l a [x > m] + W_u min(a, 0)) / (sigma**2 N)
+        d_c2 = sum_n (W_l b [x <= m] + W_u max(b, 0)) / (sigma**2 N).
+
+    Returns (d_c1, d_c2), each (R, F).
+
+    The two-sided sums come from u = m - x, the half width
+    w = (c2 - c1) / 2, s = sign(u), +1 at a tie, and
+    v = max(|u| - w, 0).  On both branches |d_l| = |u| + w,
+    d_l = -u - w s and d_u = -s v, so the lower bound's c1 and c2 halves
+    are +-(|u| + w)(1 -+ s) / 2, its upper bound's -v (1 +- s) / 2, and
+    |u| s = u gives
+
+        2 sigma**2 N d_c1 = sum W_l |u| - sum W_l u
+                            + w (sum W_l - sum W_l s)
+                            - sum W_u v - sum W_u s v
+        2 sigma**2 N d_c2 = -(sum W_l |u| + sum W_l u
+                              + w (sum W_l + sum W_l s)
+                              - sum W_u v + sum W_u s v).
+
+    A rule block takes u, |u|, s, v (two passes) and s v, six passes,
+    and sums them against each side's weights in one stacked product per
+    side.  Summing u and not x keeps each sum's rounding in proportion
+    to the offsets.  Per element the gradient is within a small multiple
+    of eps sum_n (|W_l| + |W_u|) (|x_nf| + |c1_rf| + |c2_rf|)
+    / (sigma_rf**2 N) of the exact sums above.
 
     With one stored side (c1 = c2 = c) the four branches add up to
     x - c, so d_c1 + d_c2 = sum_n W[r, n] (x_nf - c_rf) / (sigma_rf**2 N)
@@ -354,27 +378,39 @@ def ant_grads_from(st, X, y, c1, c2, sigma, w, b, q):
 
     XT = _columns(X)
     step = _block_rules(R, F, N)
-    mid = (0.5 * (c1 + c2))[:, :, None]
-    # per rule, [[max(d_l, 0), -min(d_l, 0)], [min(d_u, 0), -max(d_u, 0)]]:
-    # the c1 and -c2 halves of each side, reduced over N against its
-    # weights; negating a sum is exact, so d_c2 is negated at the end
-    terms = np.empty((step, 2, 2 * F, N))
-    follows_c1 = np.empty((step, F, N), dtype=bool)
-    d_c = np.empty((R, 2, 2 * F, 1))
+    # + 0.0 makes a -0.0 midpoint +0.0, so a tie's u = m - x is +0.0 and
+    # its sign sends it to c2
+    m = (0.5 * (c1 + c2) + 0.0)[:, :, None]
+    half = 0.5 * (c2 - c1)
+    # per rule, the lower side's |u|, u and s and the upper side's v and
+    # s v, each summed over the rows against its side's weights
+    lower = np.empty((step, 3, F, N))
+    upper = np.empty((step, 2, F, N))
+    lower_sums = np.empty((R, 3 * F, 1))
+    upper_sums = np.empty((R, 2 * F, 1))
     with _row_loops(N):
-        for rules, a, nb in _offset_blocks(XT, c1, c2, step):
-            k = a.shape[0]
-            t, mask = terms[:k], follows_c1[:k]
-            # the lower bound follows c1 past the midpoint; a tie takes c2
-            np.greater(XT, mid[rules], out=mask)
-            np.multiply(a, mask, out=t[:, 0, :F])
-            np.logical_not(mask, out=mask)
-            np.multiply(nb, mask, out=t[:, 0, F:])
-            np.minimum(a, 0.0, out=t[:, 1, :F])
-            np.minimum(nb, 0.0, out=t[:, 1, F:])
-            np.matmul(t, weights[rules, :, :, None], out=d_c[rules])
-    d_c = d_c[:, 0, :, 0] + d_c[:, 1, :, 0]
-    return d_c[:, :F] * scale, -d_c[:, F:] * scale
+        for lo in range(0, R, step):
+            rules = slice(lo, min(lo + step, R))
+            k = rules.stop - lo
+            abs_u, u, s = lower[:k].transpose(1, 0, 2, 3)
+            v, sv = upper[:k].transpose(1, 0, 2, 3)
+            np.subtract(m[rules], XT, out=u)
+            np.abs(u, out=abs_u)
+            np.copysign(1.0, u, out=s)
+            np.subtract(abs_u, half[rules, :, None], out=v)
+            np.maximum(v, 0.0, out=v)
+            np.multiply(s, v, out=sv)
+            np.matmul(lower[:k].reshape(k, 3 * F, N),
+                      weights[rules, 0, :, None], out=lower_sums[rules])
+            np.matmul(upper[:k].reshape(k, 2 * F, N),
+                      weights[rules, 1, :, None], out=upper_sums[rules])
+    # the (R, F) sums against the weights, named by their terms
+    abs_u, u, s = lower_sums.reshape(R, 3, F).transpose(1, 0, 2)
+    v, sv = upper_sums.reshape(R, 2, F).transpose(1, 0, 2)
+    w_l = np.add.reduce(weights[:, 0], axis=1)[:, None]
+    d_c1 = (abs_u - u) + half * (w_l - s) - (v + sv)
+    d_c2 = (abs_u + u) + half * (w_l + s) - (v - sv)
+    return d_c1 * (0.5 * scale), d_c2 * (-0.5 * scale)
 
 
 def active_backend():

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -173,6 +173,15 @@ def _run_pooled(cell) -> RunResult:
     return run_single(_worker_raw, *cell)
 
 
+def __getattr__(name):
+    # the process pool is imported on first use, so that importing the
+    # package loads no multiprocessing for commands that never sweep
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def sweep(raw: RawTable, cfg: SweepConfig,
           train_cfg: TrainConfig | None = None) -> list[RunResult]:
     """Execute the full grid, rows sorted by (mode, rules, seed)."""
@@ -184,11 +193,14 @@ def sweep(raw: RawTable, cfg: SweepConfig,
              for mode in cfg.modes
              for rules in cfg.rule_counts
              for seed_index in range(cfg.n_seeds)]
-    if cfg.parallelism > 1:
+    # a pool starts all its workers at once, needed or not
+    workers = min(cfg.parallelism, len(cells))
+    if workers > 1:
+        # the module's attribute, which tests and tracers may replace;
         # each worker receives the table once, not once per cell
-        with ProcessPoolExecutor(max_workers=cfg.parallelism,
-                                 initializer=_init_worker,
-                                 initargs=(raw,)) as pool:
+        pool_class = sys.modules[__name__].ProcessPoolExecutor
+        with pool_class(max_workers=workers, initializer=_init_worker,
+                        initargs=(raw,)) as pool:
             results = list(pool.map(_run_pooled, cells))
     else:
         results = [run_single(raw, *cell) for cell in cells]

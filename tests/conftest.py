@@ -121,6 +121,13 @@ def fd_gradient(rb: RuleBase, X, y, array_name: str, index,
     return (up - down) / (2.0 * step)
 
 
+#: marks a test against a longdouble reference, which needs a longdouble
+#: wider than float64
+needs_longdouble = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+    reason="longdouble is float64 here: no wider reference")
+
+
 def bits(a) -> np.ndarray:
     """The float64 values of ``a`` as their uint64 bit patterns."""
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)

@@ -10,7 +10,8 @@ import pytest
 
 from it2anfis import kernels
 
-from conftest import bits, bounds, random_rulebase, ref_membership
+from conftest import (bits, bounds, needs_longdouble, random_rulebase,
+                      ref_membership)
 
 
 class TestMembership:
@@ -225,49 +226,145 @@ class TestNormalizeReduce:
         assert st.mu_l is mu_l and st.mu_u is mu_u
 
 
-def _reference_ant_grads(X, y, c1, c2, sigma, w, b, q,
-                         floor=kernels.STRENGTH_FLOOR):
-    """The antecedent gradient written out on (N, R, F) offsets.
+#: the antecedent gradient's rounding bound, in multiples of eps_64 (see
+#: ``_bounded_reference``)
+ANT_BOUND_EPS = 16.0
 
-    Every input's offsets from every antecedent are held at once and
-    the lower bound's branch is picked with ``np.where``; the kernel
-    must agree with it up to the order of its sums.
+def _bounded_reference(X, y, rb):
+    """The two-sided antecedent gradient in longdouble, and its bound.
+
+    The reference takes ``fire``'s strengths, normalizes them with
+    ``_reference_type_reduce`` and forms the kernel's (R, N) row weights
+    W_l = (y_r - y_l) q e inv_l mu_l and W_u = (y_r - y_u) (1 - q) e
+    inv_u mu_u in the kernel's float64 order, so a correct kernel has
+    the same weights bit for bit.  From them it sums, in longdouble and
+    with the seam taken on the float64 values (a tie at
+    m = (c1 + c2) / 2 follows c2),
+
+        d_c1 = sum_n W_l a [x > m] + W_u min(a, 0)
+        d_c2 = sum_n W_l b [x <= m] + W_u max(b, 0)
+
+    over sigma**2 N, with the offsets a = x - c1 and b = x - c2.
+
+    The bound, per element: every term that the kernel forms from x, c1
+    and c2 (offsets, midpoint, half width, their sizes and signs) is at
+    most s_n = |x_n| + |c1| + |c2| in size and within a few roundings,
+    eps_64 s_n each, of its exact value; the kernel sums W_side[n] times
+    such terms over the rows, combines at most six such sums and scales
+    the result.  So its error is at most
+
+        (k + g) eps_64 sum_n (|W_l[n]| + |W_u[n]|) s_n / (sigma**2 N),
+
+    with k the elementwise roundings and g the sum's own factor, N in
+    the worst case and about sqrt(N) for the blocked running sums of
+    BLAS.  The check takes k + g = ``ANT_BOUND_EPS``, the type-1 centre
+    gradient's multiple.  A moved seam, a wrong sign or weight, or a
+    term off by a relative 1e-9 misses it by orders of magnitude.
+    Returns ((d_c1, d_c2), bound), each (R, F).
     """
     N = X.shape[0]
-    d_l, d_u = kernels.membership_offsets(X[:, None, :], c1, c2)
-    h = -0.5 / (sigma * sigma)
-    mu_l = np.exp(np.einsum("nrf,nrf,rf->nr", d_l, d_l, h))
-    mu_u = np.exp(np.einsum("nrf,nrf,rf->nr", d_u, d_u, h))
-    yr = X @ w.T + b
-    red = _reference_type_reduce(mu_l, mu_u, yr, q, floor)
+    mu_l, mu_u = kernels.fire(X, rb.c1, rb.c2, rb.sigma)
+    yr = X @ rb.w.T + rb.b
+    red = _reference_type_reduce(mu_l, mu_u, yr, rb.q)
     e = red.y_p - y
-    a_l = (q * e * red.inv_l)[:, None] * (yr - red.y_l[:, None]) * mu_l
-    a_u = (((1.0 - q) * e * red.inv_u)[:, None] * (yr - red.y_u[:, None])
-           * mu_u)
-    scale = 1.0 / (sigma * sigma * N)
-    d_c1 = (np.einsum("nj,njf->jf", a_l, np.maximum(d_l, 0.0))
-            + np.einsum("nj,njf->jf", a_u, np.minimum(d_u, 0.0)))
-    d_c2 = (np.einsum("nj,njf->jf", a_l, np.minimum(d_l, 0.0))
-            + np.einsum("nj,njf->jf", a_u, np.maximum(d_u, 0.0)))
-    return d_c1 * scale, d_c2 * scale
+    weights = []
+    for c, y_side, inv, mu in ((rb.q, red.y_l, red.inv_l, mu_l),
+                               (1.0 - rb.q, red.y_u, red.inv_u, mu_u)):
+        w_s = yr.T - y_side
+        w_s *= c * e * inv
+        w_s *= mu.T
+        weights.append(w_s)
+    ld = np.longdouble
+    a = X.T.astype(ld)[None] - rb.c1.astype(ld)[:, :, None]
+    b = X.T.astype(ld)[None] - rb.c2.astype(ld)[:, :, None]
+    past = X.T[None] > (0.5 * (rb.c1 + rb.c2))[:, :, None]
+    w_l, w_u = (w_s.astype(ld) for w_s in weights)
+    scale = rb.sigma.astype(ld) ** 2 * N
+    want = ((np.einsum("rn,rfn->rf", w_l, np.where(past, a, 0))
+             + np.einsum("rn,rfn->rf", w_u, np.minimum(a, 0))) / scale,
+            (np.einsum("rn,rfn->rf", w_l, np.where(past, 0, b))
+             + np.einsum("rn,rfn->rf", w_u, np.maximum(b, 0))) / scale)
+    sizes = np.abs(X.T)[None] + (np.abs(rb.c1) + np.abs(rb.c2))[:, :, None]
+    size = np.einsum("rn,rfn->rf", np.abs(weights[0]) + np.abs(weights[1]),
+                     sizes)
+    eps = np.finfo(np.float64).eps
+    return want, ANT_BOUND_EPS * eps * size / (rb.sigma ** 2 * N)
+
+
+def _bound_ratio(got, want, bound):
+    """The worst |got - want| / bound over both gradients' elements.
+
+    An element whose every term is 0 has bound 0 and must be exactly 0.
+    """
+    worst = 0.0
+    for g, w in zip(got, want):
+        err = np.abs(g.astype(np.longdouble) - w).astype(np.float64)
+        assert (err[bound == 0.0] == 0.0).all()
+        live = bound > 0.0
+        if live.any():
+            worst = max(worst, float(np.max(err[live] / bound[live])))
+    return worst
+
+
+def _plant_seams(rb, X):
+    """Midpoint ties on every other feature of every third row, a row on
+    rule 0's plateau and a uniform-fallback row, in place; a batch too
+    short for a row goes without it."""
+    R = rb.n_rules
+    for n in range(0, X.shape[0], 3):
+        X[n, ::2] = 0.5 * (rb.c1[n % R, ::2] + rb.c2[n % R, ::2])
+    X[1:2] = rb.c1[0] + 0.3 * (rb.c2[0] - rb.c1[0])
+    X[2:3] = 60.0
+
+
+def _bound_problem(seed):
+    """A random problem for the bound: (rb, X, y) with up to 50 rules,
+    13 features and 1280 rows, seeded by ``seed``."""
+    rng = np.random.default_rng(4000 + seed)
+    R = int(rng.integers(1, 51))
+    F = int(rng.integers(1, 14))
+    N = int(rng.integers(1, 1281))
+    rb = random_rulebase(rng, R, F, q=float(rng.uniform(0.1, 0.9)))
+    X = rng.uniform(-0.2, 1.2, (N, F))
+    _plant_seams(rb, X)
+    X[5::13] = rb.c2[0]  # on rule 0's upper bound
+    X[6::17] = rb.c1[0]  # and on its lower bound
+    if R > 1 and N > 4:
+        # a narrow last rule that every row but row 4 is at strength 0
+        # from; row 4 reaches it at about 1e-14, below the floor, so its
+        # weight must be 0 too
+        rb.c1[-1], rb.c2[-1] = 9.9, 10.1
+        rb.sigma[-1] = 0.05
+        X[4] = 10.1 + 0.05 * np.sqrt(64.0 / F)
+    return rb, X, rng.normal(size=N)
 
 
 class TestAntGrads:
+    @needs_longdouble
     @pytest.mark.parametrize("R, F, N", [(1, 3, 40), (5, 4, 90),
                                          (12, 13, 300), (50, 13, 1280)])
     def test_matches_reference(self, rng, R, F, N):
         rb = random_rulebase(rng, R, F, q=0.4)
         X = rng.uniform(-0.2, 1.2, (N, F))
-        # midpoint ties on every other feature of every third row
-        for n in range(0, N, 3):
-            X[n, ::2] = 0.5 * (rb.c1[n % R, ::2] + rb.c2[n % R, ::2])
-        X[1] = rb.c1[0] + 0.3 * (rb.c2[0] - rb.c1[0])  # on rule 0's plateau
-        X[2] = 60.0  # a uniform-fallback row
+        _plant_seams(rb, X)
         y = rng.normal(size=N)
-        args = (X, y, rb.c1, rb.c2, rb.sigma, rb.w, rb.b, rb.q)
-        for got, want in zip(kernels.ant_grads(*args),
-                             _reference_ant_grads(*args)):
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        want, bound = _bounded_reference(X, y, rb)
+        got = kernels.ant_grads(X, y, rb.c1, rb.c2, rb.sigma, rb.w, rb.b,
+                                rb.q)
+        assert _bound_ratio(got, want, bound) <= 1.0
+
+    @needs_longdouble
+    def test_within_rounding_bound(self):
+        """The bound over 60 random problems with ties, plateau rows,
+        fallback rows and a rule that only a fallback row reaches."""
+        worst = 0.0
+        for seed in range(60):
+            rb, X, y = _bound_problem(seed)
+            want, bound = _bounded_reference(X, y, rb)
+            got = kernels.ant_grads(X, y, rb.c1, rb.c2, rb.sigma, rb.w,
+                                    rb.b, rb.q)
+            worst = max(worst, _bound_ratio(got, want, bound))
+        assert worst <= 1.0, worst
 
 
 class TestRowLoops:
@@ -321,10 +418,18 @@ class TestRowLoops:
         def boom(*args, **kwargs):
             raise FloatingPointError("in the block loop")
 
+        def grads():
+            return kernels.ant_grads_from(st, X, y, *params, rb.w, rb.b,
+                                          rb.q)
+
+        # the gradient's block loop calls np.subtract first, which its
+        # row weights call too; np.abs comes next and only from there
         for name, call in (
                 ("square", lambda: kernels.fire(X, *params)),
-                ("matmul", lambda: kernels.ant_grads_from(
-                    st, X, y, *params, rb.w, rb.b, rb.q))):
+                ("einsum", lambda: kernels.fire(X, *params)),
+                ("einsum", lambda: kernels.fire_collapsed(X, rb.c1,
+                                                          rb.sigma)),
+                ("abs", grads), ("matmul", grads)):
             with monkeypatch.context() as m:
                 m.setattr(np, name, boom)
                 with pytest.raises(FloatingPointError):

@@ -3,13 +3,20 @@
 from __future__ import annotations
 
 import csv
+import importlib
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 import numpy as np
 
+import it2anfis
 from it2anfis.core import Mode
 from it2anfis.dataset import RawTable, SyntheticSpec, generate_synthetic
 from it2anfis.metrics import MetricSet
@@ -87,6 +94,56 @@ class TestSweepGrid:
         serial = sweep(_small_raw(), _fast_cfg(parallelism=1), FAST_TRAIN)
         parallel = sweep(_small_raw(), _fast_cfg(parallelism=3), FAST_TRAIN)
         assert _rows_without_wall(serial) == _rows_without_wall(parallel)
+
+    def test_pool_never_larger_than_the_grid(self, monkeypatch):
+        sweep_module = importlib.import_module("it2anfis.sweep")
+        made = []
+
+        class RecordingPool:
+            """Runs the cells in this process; records the worker count."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                made.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cells):
+                return map(fn, cells)
+
+        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor",
+                            RecordingPool)
+        monkeypatch.setattr(sweep_module, "_worker_raw", None)
+        raw = _small_raw()
+        # (parallelism, grid, the pool's workers: none for one cell)
+        for parallelism, grid, workers in (
+                (4, dict(rule_counts=(2,), n_seeds=1, modes=(Mode.IT2,)),
+                 []),
+                (4, dict(rule_counts=(2,), n_seeds=2, modes=(Mode.IT2,)),
+                 [2]),
+                (2, {}, [2])):
+            made.clear()
+            cfg = _fast_cfg(parallelism=parallelism, **grid)
+            rows = _rows_without_wall(sweep(raw, cfg, FAST_TRAIN))
+            assert made == workers, (parallelism, grid)
+            serial = sweep(raw, replace(cfg, parallelism=1), FAST_TRAIN)
+            assert rows == _rows_without_wall(serial)
+
+    def test_import_loads_no_multiprocessing(self):
+        src = str(Path(it2anfis.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        code = ("import sys, it2anfis.cli; "
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'multiprocessing'))")
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
     def test_failures_isolated_per_row(self):
         # 6 rows cannot be split into non-empty train/val/test pieces,

@@ -20,7 +20,8 @@ from it2anfis.dataset import TargetScaler
 from it2anfis.explainer import explain_instance
 from it2anfis.trainer import antecedent_gradients
 
-from conftest import assert_bits, half_mse, random_rulebase
+from conftest import (assert_bits, half_mse, needs_longdouble,
+                      random_rulebase)
 
 TYPE1 = (Mode.TYPE1_ORDER1, Mode.TYPE1_ORDER0)
 
@@ -145,8 +146,7 @@ def test_type1_centre_gradient_oracle():
 BOUND_EPS = 16.0
 
 
-@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
-                    reason="longdouble is float64 here: no wider reference")
+@needs_longdouble
 def test_centre_gradient_within_rounding_bound():
     """The tied centre's gradient against sum_n W (x - c) / (sigma**2 N)
     taken in longdouble from the float64 row weights, per element, within
