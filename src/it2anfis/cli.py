@@ -150,7 +150,7 @@ def cmd_explain(args) -> int:
     if args.text:
         text_path = out.with_suffix(".rules.txt")
         text_path.write_text(
-            export_rules_text(rb, names, feature_scalers, target_scaler),
+            export_rules_text(rb, feature_scalers, target_scaler),
             encoding="utf-8")
         print(f"rules written to {text_path}")
     if args.svg:

@@ -119,45 +119,36 @@ def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
-def _check_feature_names(rb: RuleBase, feature_names: list[str]) -> None:
-    if len(feature_names) != rb.n_features:
-        raise ValueError("feature_names arity does not match the rule base")
-
-
-def export_rules_text(rb: RuleBase, feature_names: list[str],
-                      feature_scalers: list[FeatureScaler] | None = None,
-                      target_scaler: TargetScaler | None = None) -> str:
+def export_rules_text(rb: RuleBase, feature_scalers: list[FeatureScaler],
+                      target_scaler: TargetScaler) -> str:
     """Readable IF-THEN dump of every rule.
 
     Antecedents print the uncertain-mean interval and spread in
-    normalized units; when scalers are supplied the original-unit
-    values are appended alongside.
+    normalized units, then the original-unit values of each feature's
+    scaler, which also names the feature.
     """
-    _check_feature_names(rb, feature_names)
+    if len(feature_scalers) != rb.n_features:
+        raise ValueError("feature_scalers arity does not match the rule base")
+    target_note = (f"       (y in standardized units; {target_scaler.name}"
+                   f" = y * {_fmt(target_scaler.std)} + "
+                   f"{_fmt(target_scaler.mean)})")
     lines: list[str] = []
     for j in range(rb.n_rules):
         lines.append(f"Rule {j + 1}:")
-        for f, name in enumerate(feature_names):
+        for f, sc in enumerate(feature_scalers):
             c1, c2, sigma = rb.c1[j, f], rb.c2[j, f], rb.sigma[j, f]
-            clause = (f"  {'IF ' if f == 0 else 'AND'} {name} is "
-                      f"Gaussian(mean in [{_fmt(c1)}, {_fmt(c2)}], "
-                      f"sigma {_fmt(sigma)})")
-            if feature_scalers is not None:
-                sc = feature_scalers[f]
-                lo, hi = sc.inverse(c1), sc.inverse(c2)
-                sd = sigma * (sc.max - sc.min)
-                clause += (f"  [orig: mean in [{_fmt(float(lo))}, "
-                           f"{_fmt(float(hi))}], sigma {_fmt(float(sd))}]")
-            lines.append(clause)
-        terms = " + ".join(f"{_fmt(rb.w[j, f])}*{name}"
-                           for f, name in enumerate(feature_names))
-        lines.append(f"  THEN y = {terms} + {_fmt(float(rb.b[j]))}")
-        if target_scaler is not None:
-            lines.append(f"       (y in standardized units; "
-                         f"{target_scaler.name} = y * "
-                         f"{_fmt(target_scaler.std)} + "
-                         f"{_fmt(target_scaler.mean)})")
-        lines.append("")
+            lo, hi = sc.inverse(c1), sc.inverse(c2)
+            sd = sigma * (sc.max - sc.min)
+            lines.append(
+                f"  {'IF ' if f == 0 else 'AND'} {sc.name} is "
+                f"Gaussian(mean in [{_fmt(c1)}, {_fmt(c2)}], "
+                f"sigma {_fmt(sigma)})"
+                f"  [orig: mean in [{_fmt(float(lo))}, "
+                f"{_fmt(float(hi))}], sigma {_fmt(float(sd))}]")
+        terms = " + ".join(f"{_fmt(rb.w[j, f])}*{sc.name}"
+                           for f, sc in enumerate(feature_scalers))
+        lines += [f"  THEN y = {terms} + {_fmt(float(rb.b[j]))}",
+                  target_note, ""]
     return "\n".join(lines)
 
 
@@ -181,7 +172,8 @@ def render_rule_svg(rb: RuleBase, rule_index: int,
 
     if not 0 <= rule_index < rb.n_rules:
         raise ValueError(f"rule_index out of range: {rule_index}")
-    _check_feature_names(rb, feature_names)
+    if len(feature_names) != rb.n_features:
+        raise ValueError("feature_names arity does not match the rule base")
     panel_w, panel_h, pad, n_points = 300.0, 110.0, 34.0, 200
     total_w = panel_w + 2 * pad
     total_h = (panel_h + pad) * rb.n_features + pad

@@ -23,6 +23,19 @@ class ModelFormatError(ValueError):
     """Raised when a model file violates the schema or version."""
 
 
+def _name_clash(feature_scalers: list[FeatureScaler],
+                target_scaler: TargetScaler) -> str | None:
+    """Why the scalers cannot name distinct input columns, if they cannot."""
+    names = [s.name for s in feature_scalers]
+    for k, name in enumerate(names):
+        if name in names[:k]:
+            return f"feature scalers repeat the name {name!r}"
+    if target_scaler.name in names:
+        return (f"a feature scaler uses the target's name "
+                f"{target_scaler.name!r}")
+    return None
+
+
 def save_model(rb: RuleBase, path: str | Path,
                feature_scalers: list[FeatureScaler],
                target_scaler: TargetScaler,
@@ -30,6 +43,9 @@ def save_model(rb: RuleBase, path: str | Path,
     """Write the rule base and scalers as a versioned JSON document."""
     if len(feature_scalers) != rb.n_features:
         raise ValueError("one feature scaler per feature is required")
+    clash = _name_clash(feature_scalers, target_scaler)
+    if clash:
+        raise ValueError(clash)
     doc = {
         "format_version": FORMAT_VERSION,
         "mode": rb.mode.value,
@@ -100,8 +116,9 @@ def load_model(path: str | Path) -> tuple[RuleBase, list[FeatureScaler],
     unsupported version, a missing field or one of the wrong JSON type
     (``F`` and ``R`` must be positive integers, every parameter a finite
     number), any arity disagreeing with R and F, a degenerate scaler
-    (max > min and std > 0 are required), or parameters the rule base
-    rejects.  A missing file raises FileNotFoundError.
+    (max > min and std > 0 are required), feature scalers that repeat a
+    name or use the target's, or parameters the rule base rejects.  A
+    missing file raises FileNotFoundError.
     """
     path = Path(path)
     try:
@@ -146,6 +163,9 @@ def load_model(path: str | Path) -> tuple[RuleBase, list[FeatureScaler],
     if not target_scaler.std > 0.0:
         raise ModelFormatError(f"{path}: {label} field 'std' must be "
                                f"positive, got {target_scaler.std!r}")
+    clash = _name_clash(feature_scalers, target_scaler)
+    if clash:
+        raise ModelFormatError(f"{path}: {clash}")
 
     rules = _typed(path, "document", doc, "rules", list)
     if len(rules) != R:

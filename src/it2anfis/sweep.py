@@ -183,10 +183,8 @@ def __getattr__(name):
 
 
 def sweep(raw: RawTable, cfg: SweepConfig,
-          train_cfg: TrainConfig | None = None) -> list[RunResult]:
+          train_cfg: TrainConfig) -> list[RunResult]:
     """Execute the full grid, rows sorted by (mode, rules, seed)."""
-    if train_cfg is None:
-        train_cfg = TrainConfig()
     cfg.validate()
     train_cfg.validate()
     cells = [(mode, rules, seed_index, cfg, train_cfg)

@@ -335,5 +335,4 @@ def train(rb: RuleBase, data: Dataset, cfg: TrainConfig,
         if log_handle is not None:
             log_handle.close()
 
-    best = state.best_snapshot if state.best_snapshot is not None else rb
-    return best.copy(), state
+    return state.best_snapshot.copy(), state

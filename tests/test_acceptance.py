@@ -362,7 +362,7 @@ def _melbourne_it2_results(path: Path):
                           n_seeds=10, modes=(Mode.IT2,),
                           parallelism=_parallelism())
         _MELBOURNE_CACHE["raw"] = raw
-        _MELBOURNE_CACHE["it2"] = sweep(raw, cfg)
+        _MELBOURNE_CACHE["it2"] = sweep(raw, cfg, TrainConfig())
     return _MELBOURNE_CACHE["it2"]
 
 
@@ -379,7 +379,7 @@ def _melbourne_baseline_results(path: Path, rules: int):
         cfg = SweepConfig(rule_counts=(rules,), n_seeds=10,
                           modes=(Mode.TYPE1_ORDER0, Mode.TYPE1_ORDER1),
                           parallelism=_parallelism())
-        _MELBOURNE_CACHE[key] = sweep(raw, cfg)
+        _MELBOURNE_CACHE[key] = sweep(raw, cfg, TrainConfig())
     return _MELBOURNE_CACHE[key]
 
 

@@ -10,13 +10,10 @@ EXPECTED = [
     "MetricSet", "Mode", "ModelFormatError", "RawTable", "RuleBase",
     "RuleUncertainty", "SweepConfig", "SyntheticSpec", "TargetScaler",
     "TrainConfig", "TrainState", "TrainingDiverged", "UncertaintyReport",
-    "adapt_learning_rates", "antecedent_gradients",
-    "apply_antecedent_update", "apply_consequent_update", "build_rulebase",
-    "consequent_gradients", "enforce_constraints", "evaluate",
-    "explain_instance", "explain_model", "export_rules_text", "fou_area",
-    "generate_synthetic", "inverse_target", "lhs_centers", "load_csv",
-    "load_model", "normalize_and_split", "partition_width",
-    "predict_arrays", "run_seed", "save_model", "sweep", "train",
+    "build_rulebase", "evaluate", "explain_instance", "explain_model",
+    "export_rules_text", "generate_synthetic", "inverse_target",
+    "load_csv", "load_model", "normalize_and_split", "predict_arrays",
+    "save_model", "sweep", "train",
 ]
 
 

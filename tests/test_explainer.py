@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from it2anfis import core, kernels
 from it2anfis.core import Mode, RuleBase, predict_arrays
-from it2anfis.dataset import TargetScaler, inverse_target
+from it2anfis.dataset import FeatureScaler, TargetScaler, inverse_target
 from it2anfis.explainer import (UncertaintyReport, explain_instance,
                                 explain_model, export_rules_text, fou_area,
                                 render_rule_svg)
@@ -228,34 +228,45 @@ class TestExplainInstance:
 
 
 class TestExportRulesText:
-    def test_structure(self, rng):
+    def test_structure(self, rng, toy_scalers):
+        _, target = toy_scalers
+        features = [FeatureScaler(name=n, min=0.0, max=1.0)
+                    for n in ("temp", "humidity")]
         rb = random_rulebase(rng, 2, 2)
-        text = export_rules_text(rb, ["temp", "humidity"])
+        text = export_rules_text(rb, features, target)
         assert text.count("Rule ") == 2
         assert text.count("THEN y =") == 2
         assert text.count("IF ") == 2
         assert text.count("AND") == 2
-        assert "temp" in text and "humidity" in text
-        assert "orig:" not in text
+        assert text.count("  IF  temp is Gaussian(") == 2
+        assert text.count("  AND humidity is Gaussian(") == 2
+        assert text.count("*temp + ") == 2
 
     def test_original_units_appended(self, rng, toy_scalers):
         features, target = toy_scalers
         rb = random_rulebase(rng, 2, 2)
-        text = export_rules_text(rb, ["x1", "x2"], features, target)
+        text = export_rules_text(rb, features, target)
         assert text.count("orig:") == 4
         assert text.count("energy_mwh") == 2
         assert "* 40 + 260" in text
 
-    def test_values_match_parameters(self, rng):
+    def test_values_match_parameters(self, rng, toy_scalers):
+        _, target = toy_scalers
+        sc = FeatureScaler(name="x1", min=10.0, max=30.0)
         rb = random_rulebase(rng, 1, 1)
-        text = export_rules_text(rb, ["x1"])
-        assert f"{rb.c1[0, 0]:.6g}" in text
+        text = export_rules_text(rb, [sc], target)
+        c1, c2, sigma = rb.c1[0, 0], rb.c2[0, 0], rb.sigma[0, 0]
+        assert f"mean in [{c1:.6g}, {c2:.6g}], sigma {sigma:.6g})" in text
+        assert (f"[orig: mean in [{float(sc.inverse(c1)):.6g}, "
+                f"{float(sc.inverse(c2)):.6g}], "
+                f"sigma {float(sigma * 20.0):.6g}]") in text
         assert f"{rb.b[0]:.6g}" in text
 
-    def test_arity_mismatch(self, rng):
+    def test_arity_mismatch(self, rng, toy_scalers):
+        features, target = toy_scalers
         rb = random_rulebase(rng, 2, 2)
-        with pytest.raises(ValueError, match="arity"):
-            export_rules_text(rb, ["only_one"])
+        with pytest.raises(ValueError, match="feature_scalers arity"):
+            export_rules_text(rb, features[:1], target)
 
 
 def _tag_counts(svg_text: str) -> dict[str, int]:

@@ -341,7 +341,7 @@ def _bound_problem(seed):
 
 class TestAntGrads:
     @needs_longdouble
-    @pytest.mark.parametrize("R, F, N", [(1, 3, 40), (5, 4, 90),
+    @pytest.mark.parametrize("R, F, N", [(2, 3, 40), (5, 4, 90),
                                          (12, 13, 300), (50, 13, 1280)])
     def test_matches_reference(self, rng, R, F, N):
         rb = random_rulebase(rng, R, F, q=0.4)
@@ -352,6 +352,16 @@ class TestAntGrads:
         got = kernels.ant_grads(X, y, rb.c1, rb.c2, rb.sigma, rb.w, rb.b,
                                 rb.q)
         assert _bound_ratio(got, want, bound) <= 1.0
+
+    def test_one_rule_gradient_is_exactly_zero(self, rng):
+        # one rule takes every row's whole normalized strength, so no
+        # centre moves the prediction
+        rb = random_rulebase(rng, 1, 3, q=0.4)
+        X = rng.uniform(-0.2, 1.2, (40, 3))
+        _plant_seams(rb, X)
+        got = kernels.ant_grads(X, rng.normal(size=40), rb.c1, rb.c2,
+                                rb.sigma, rb.w, rb.b, rb.q)
+        np.testing.assert_array_equal(got, 0.0)
 
     @needs_longdouble
     def test_within_rounding_bound(self):

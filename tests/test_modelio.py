@@ -232,6 +232,35 @@ class TestSchemaValidation:
         with pytest.raises(ValueError, match="scaler"):
             save_model(rb, tmp_path / "m.json", features, target)
 
+    @pytest.mark.parametrize("name,expected", [
+        ("x1", "feature scalers repeat the name 'x1'"),
+        ("energy_mwh", "a feature scaler uses the target's name "
+                       "'energy_mwh'"),
+    ], ids=["repeated", "target"])
+    def test_clashing_scaler_names_rejected(self, tmp_path, rng,
+                                            toy_scalers, name, expected):
+        # either would feed one input column to two model inputs, or the
+        # target to a model input
+        path = _corrupt(tmp_path, rng, toy_scalers, lambda d: d[
+            "feature_scalers"][1].update(name=name))
+        with pytest.raises(ModelFormatError) as info:
+            load_model(path)
+        assert str(info.value) == f"{path}: {expected}"
+
+    @pytest.mark.parametrize("name,expected", [
+        ("x1", "repeat the name 'x1'"),
+        ("energy_mwh", "uses the target's name 'energy_mwh'"),
+    ], ids=["repeated", "target"])
+    def test_save_rejects_clashing_scaler_names(self, tmp_path, rng,
+                                                toy_scalers, name,
+                                                expected):
+        features, target = toy_scalers
+        features = [features[0], FeatureScaler(name=name, min=0.0, max=1.0)]
+        path = tmp_path / "m.json"
+        with pytest.raises(ValueError, match=expected):
+            save_model(random_rulebase(rng, 2, 2), path, features, target)
+        assert not path.exists()
+
 
 def _paths(node, prefix=()):
     """Every location in a JSON document, the root included."""
@@ -280,6 +309,9 @@ class TestLoadModelProperty:
                 assert str(exc).startswith(f"{path}: ")
                 return
         rb.validate()
+        names = [s.name for s in features]
+        assert len(set(names)) == len(names)
+        assert target.name not in names
         assert all(np.isfinite([s.min, s.max]).all() for s in features)
         assert np.isfinite([target.mean, target.std]).all()
         X = np.random.default_rng(0).uniform(-0.5, 1.5, (8, rb.n_features))

@@ -392,6 +392,20 @@ class TestTrain:
         _, _, y_pred = predict_arrays(best, Xtr)
         assert float(np.mean((y_pred - ytr) ** 2)) < 1e-3
 
+    def test_non_finite_loss_stops_training(self):
+        # a finite validation row far outside [0, 1] overflows the
+        # affine consequents: the validation MSE is inf at epoch 1
+        data = normalize_and_split(generate_synthetic(SyntheticSpec(
+            n_samples=100, n_features=3, seed=1)), 0)
+        data.X[data.val_idx[0], 0] = 1e200
+        rb = build_rulebase(InitConfig(n_rules=3, seed=1), [(0.0, 1.0)] * 3)
+        with np.errstate(over="ignore"), \
+                pytest.raises(TrainingDiverged) as info:
+            train(rb, data, TrainConfig(max_epochs=3))
+        message = str(info.value)
+        assert message.startswith("non-finite loss at epoch 1: train=")
+        assert message.endswith(", val=inf")
+
     def test_divergence_diagnostic_names_block(self, rng):
         rb = random_rulebase(rng, 2, 2)
         rb.w[1, 0] = math.inf
